@@ -113,6 +113,19 @@ func TestAllocBudgets(t *testing.T) {
 			t.Fatalf("MittCFQ accept path allocates %.1f objects per IO; budget is 0", avg)
 		}
 	})
+	t.Run("DiskDestage", func(t *testing.T) {
+		// A buffered write plus the destage pop that follows it, with the
+		// NVRAM ring already grown: the ring reuses its backing slice and
+		// the disk its pooled ack and service completions.
+		step := newDestageLoop(256)
+		for i := 0; i < 64; i++ {
+			step()
+		}
+		avg := testing.AllocsPerRun(200, step)
+		if avg != 0 {
+			t.Fatalf("buffered write + destage allocates %.1f objects per op; budget is 0", avg)
+		}
+	})
 	t.Run("EngineSchedule", func(t *testing.T) {
 		eng := NewEngine()
 		// Warm the event freelist.

@@ -59,7 +59,7 @@ func main() {
 
 		faultsFlag = flag.String("faults", "", "fault schedule for -run failslow, e.g. 'failslow node=1 at=2s for=4s x=8; crash node=2 at=4s for=2s' (default: the experiment's built-in scenario)")
 
-		ratesFlag = flag.String("rates", "", "comma-separated offered-load multipliers (× measured saturation) for -run loadsweep, e.g. '0.5,0.9,1.1' (default: the built-in 0.2→1.5 sweep)")
+		ratesFlag = flag.String("rates", "", "comma-separated offered-load multipliers (× measured saturation, each in [0.01, 3]) for -run loadsweep, e.g. '0.5,0.9,1.1' (default: the built-in 0.2→1.5 sweep)")
 		sweepJSON = flag.String("sweep-json", "", "write the loadsweep experiment's per-cell results (throughput, percentiles, attainment, diagnostics) as a JSON array to this file")
 
 		metricsOn   = flag.Bool("metrics", false, "collect per-layer counters/histograms and print an end-of-run dump per leg (fig4, fig7)")
@@ -206,7 +206,8 @@ func main() {
 	}
 }
 
-// parseRates parses the -rates flag: comma-separated positive floats.
+// parseRates parses the -rates flag: comma-separated finite multipliers in
+// [experiments.MinSweepRate, experiments.MaxSweepRate].
 func parseRates(s string) ([]float64, error) {
 	if s == "" {
 		return nil, nil
@@ -217,8 +218,8 @@ func parseRates(s string) ([]float64, error) {
 		if err != nil {
 			return nil, fmt.Errorf("-rates: %w", err)
 		}
-		if v <= 0 {
-			return nil, fmt.Errorf("-rates: multiplier %v must be positive", v)
+		if err := experiments.CheckSweepRate(v); err != nil {
+			return nil, fmt.Errorf("-rates: %w", err)
 		}
 		rates = append(rates, v)
 	}

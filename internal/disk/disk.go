@@ -86,6 +86,55 @@ type destageRec struct {
 	size   int
 }
 
+// destageRing is the NVRAM write buffer: a FIFO ring over a backing slice,
+// O(1) to push and pop and allocation-free once grown. The backing slice
+// starts small and doubles (linearising the ring) when full, never beyond
+// the WriteBufferSlots limit Submit admits against, so a disk that buffers
+// few writes never pays for the full 4096-slot capacity.
+type destageRing struct {
+	buf  []destageRec
+	head int // index of the oldest record
+	n    int // records buffered
+}
+
+// destageRingMin is the first allocation's size.
+const destageRingMin = 16
+
+// push appends w at the tail, growing the backing slice up to limit slots.
+// The caller guarantees n < limit.
+func (r *destageRing) push(w destageRec, limit int) {
+	if r.n == len(r.buf) {
+		r.grow(limit)
+	}
+	i := r.head + r.n
+	if i >= len(r.buf) {
+		i -= len(r.buf)
+	}
+	r.buf[i] = w
+	r.n++
+}
+
+// grow doubles the backing slice (capped at limit) and copies the ring into
+// it oldest-first, so head restarts at 0.
+func (r *destageRing) grow(limit int) {
+	size := min(max(2*len(r.buf), destageRingMin), limit)
+	buf := make([]destageRec, size)
+	k := copy(buf, r.buf[r.head:])
+	copy(buf[k:], r.buf[:r.head])
+	r.buf, r.head = buf, 0
+}
+
+// pop removes and returns the oldest record. The caller guarantees n > 0.
+func (r *destageRing) pop() destageRec {
+	w := r.buf[r.head]
+	r.head++
+	if r.head == len(r.buf) {
+		r.head = 0
+	}
+	r.n--
+	return w
+}
+
 // Disk is the device model. It implements blockio.Device.
 type Disk struct {
 	eng *sim.Engine
@@ -94,7 +143,7 @@ type Disk struct {
 
 	headPos int64
 	queue   []*blockio.Request // device queue, reordered by SSTF
-	destage []destageRec       // NVRAM writes awaiting idle destaging
+	destage destageRing        // NVRAM writes awaiting idle destaging
 	scratch blockio.Request    // reused to present destage records to the spindle
 	busy    bool
 
@@ -231,12 +280,12 @@ func (d *Disk) Submit(req *blockio.Request) {
 	d.inflight++
 	d.rec.DevEnter(metrics.RDisk, req)
 	if req.Op == blockio.Write && d.cfg.WriteBufferSlots > 0 &&
-		len(d.destage) < d.cfg.WriteBufferSlots {
+		d.destage.n < d.cfg.WriteBufferSlots {
 		// NVRAM absorbs the write; destage happens during idle periods.
 		// The buffer keeps its own copy of the geometry: the request is
 		// acked (and possibly recycled by its owner) before the spindle
 		// writes the data back.
-		d.destage = append(d.destage, destageRec{offset: req.Offset, size: req.Size})
+		d.destage.push(destageRec{offset: req.Offset, size: req.Size}, d.cfg.WriteBufferSlots)
 		var op *diskAckOp
 		if n := len(d.ackFree); n > 0 {
 			op = d.ackFree[n-1]
@@ -280,13 +329,20 @@ func (d *Disk) kick() {
 	d.eng.After(svc, op.fn)
 }
 
-// next pops the SSTF-closest request from the device queue; if the queue is
-// empty it opportunistically destages one buffered write (idle destaging).
-// The second result reports whether the request is a destage (its completion
-// callback already fired at NVRAM-ack time).
+// next pops the request the spindle serves next from the device queue: the
+// oldest one if it has waited past AgeLimit (command aging), else the
+// SSTF-closest. If the queue is empty it opportunistically destages one
+// buffered write (idle destaging). The second result reports whether the
+// request is a destage (its completion callback already fired at NVRAM-ack
+// time).
+//
+// One pass over the queue drops cancelled requests (they never reach the
+// spindle) in queue order, compacts the survivors, and tracks the first
+// strictly-oldest and first strictly-nearest survivor as it goes.
 func (d *Disk) next() (*blockio.Request, bool) {
-	// Drop cancelled requests first (they never reach the spindle).
 	live := d.queue[:0]
+	oldest, oldestAt := -1, sim.Time(math.MaxInt64)
+	nearest, nearestDist := 0, int64(math.MaxInt64)
 	for _, r := range d.queue {
 		if r.Canceled() {
 			d.inflight--
@@ -294,44 +350,30 @@ func (d *Disk) next() (*blockio.Request, bool) {
 			r.Dropped()
 			continue
 		}
+		i := len(live)
 		live = append(live, r)
+		if r.DispatchTime < oldestAt {
+			oldest, oldestAt = i, r.DispatchTime
+		}
+		if dist := absI64(r.Offset - d.headPos); dist < nearestDist {
+			nearest, nearestDist = i, dist
+		}
 	}
 	d.queue = live
-	if len(d.queue) == 0 {
-		if len(d.destage) > 0 {
-			w := d.destage[0]
-			// Pop by copy-down, not re-slicing: the buffer is bounded by
-			// WriteBufferSlots and keeping its capacity makes the
-			// steady-state write path allocation-free.
-			d.destage = d.destage[:copy(d.destage, d.destage[1:])]
-			d.scratch = blockio.Request{Op: blockio.Write, Offset: w.offset, Size: w.size}
-			return &d.scratch, true
+	if len(live) == 0 {
+		if d.destage.n == 0 {
+			return nil, false
 		}
-		return nil, false
+		w := d.destage.pop()
+		d.scratch = blockio.Request{Op: blockio.Write, Offset: w.offset, Size: w.size}
+		return &d.scratch, true
 	}
-	// Command aging: the oldest starving IO preempts SSTF order.
-	if d.cfg.AgeLimit > 0 {
-		oldest, oldestAt := -1, sim.Time(math.MaxInt64)
-		for i, r := range d.queue {
-			if r.DispatchTime < oldestAt {
-				oldest, oldestAt = i, r.DispatchTime
-			}
-		}
-		if oldest >= 0 && d.eng.Now().Sub(oldestAt) > d.cfg.AgeLimit {
-			req := d.queue[oldest]
-			d.queue = append(d.queue[:oldest], d.queue[oldest+1:]...)
-			return req, false
-		}
+	pick := nearest
+	if d.cfg.AgeLimit > 0 && d.eng.Now().Sub(oldestAt) > d.cfg.AgeLimit {
+		pick = oldest
 	}
-	best, bestDist := 0, int64(math.MaxInt64)
-	for i, r := range d.queue {
-		dist := absI64(r.Offset - d.headPos)
-		if dist < bestDist {
-			best, bestDist = i, dist
-		}
-	}
-	req := d.queue[best]
-	d.queue = append(d.queue[:best], d.queue[best+1:]...)
+	req := live[pick]
+	d.queue = append(live[:pick], live[pick+1:]...)
 	return req, false
 }
 

@@ -117,33 +117,6 @@ func TestWriteBufferAbsorbsWrites(t *testing.T) {
 	}
 }
 
-func TestWriteBufferOverflowHitsSpindle(t *testing.T) {
-	eng := sim.NewEngine()
-	cfg := DefaultConfig()
-	cfg.WriteBufferSlots = 1
-	d := New(eng, cfg, sim.NewRNG(1, "wb"))
-	var lats []time.Duration
-	for i := 0; i < 3; i++ {
-		w := &blockio.Request{Op: blockio.Write, Offset: int64(i) * (100 << 30), Size: 4096}
-		w.SubmitTime = eng.Now()
-		w.OnComplete = func(r *blockio.Request) { lats = append(lats, r.Latency()) }
-		d.Submit(w)
-	}
-	eng.Run()
-	if len(lats) != 3 {
-		t.Fatalf("completed %d of 3 writes", len(lats))
-	}
-	slow := 0
-	for _, l := range lats {
-		if l > time.Millisecond {
-			slow++
-		}
-	}
-	if slow == 0 {
-		t.Fatal("overflow writes should pay spindle latency")
-	}
-}
-
 func TestDestageDoesNotDoubleComplete(t *testing.T) {
 	eng, d := newTestDisk(t)
 	completions := 0
@@ -359,5 +332,204 @@ func TestPropertyAgingBoundsStarvation(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// destageOrder records, via the slot-free hook, the buffered writes the
+// spindle destages: each op leaves the head at its end offset, so a head
+// position matching a write's end identifies that write. Writes sit at
+// distinct whole-GiB offsets so no read can be mistaken for one.
+func destageOrder(d *Disk, writes []int64) *[]int {
+	var order []int
+	d.SetSlotFreeHook(func() {
+		for i, off := range writes {
+			if d.HeadPos() == off+4096 {
+				order = append(order, i)
+			}
+		}
+	})
+	return &order
+}
+
+func noiselessDisk(name string, slots int) (*sim.Engine, *Disk) {
+	eng := sim.NewEngine()
+	cfg := DefaultConfig()
+	cfg.ServiceNoiseStd = 0
+	cfg.WriteBufferSlots = slots
+	return eng, New(eng, cfg, sim.NewRNG(1, name))
+}
+
+func nop(*blockio.Request) {}
+
+func submitWrite(d *Disk, off int64) {
+	d.Submit(&blockio.Request{Op: blockio.Write, Offset: off, Size: 4096, OnComplete: nop})
+}
+
+func TestDestageFIFOAcrossRingWrap(t *testing.T) {
+	// A 4-slot ring: the first write is popped at once (head moves to 1),
+	// reads hold the spindle so later writes pile up behind it, and the
+	// fifth buffered write lands in slot 0 — the ring wraps. Destage order
+	// must still be submit order.
+	eng, d := noiselessDisk("wrap", 4)
+	writes := []int64{10 << 30, 20 << 30, 30 << 30, 40 << 30, 50 << 30, 60 << 30, 70 << 30}
+	order := destageOrder(d, writes)
+	submitWrite(d, writes[0]) // destaged at once: head = 1
+	d.Submit(&blockio.Request{Op: blockio.Read, Offset: 900 << 30, Size: 4096, OnComplete: nop})
+	for _, off := range writes[1:5] {
+		submitWrite(d, off)
+	}
+	if r := d.destage; r.head != 1 || r.n != 4 || r.head+r.n <= len(r.buf) {
+		t.Fatalf("ring head=%d n=%d cap=%d, want a wrapped full ring", r.head, r.n, len(r.buf))
+	}
+	// Drain partway, then refill while the ring is wrapped: a read keeps
+	// the spindle busy so the next two writes are buffered mid-drain.
+	eng.RunFor(30 * time.Millisecond)
+	d.Submit(&blockio.Request{Op: blockio.Read, Offset: 950 << 30, Size: 4096, OnComplete: nop})
+	for _, off := range writes[5:] {
+		submitWrite(d, off)
+	}
+	eng.Run()
+	if len(*order) != len(writes) {
+		t.Fatalf("destaged %v, want all %d writes", *order, len(writes))
+	}
+	for i, w := range *order {
+		if w != i {
+			t.Fatalf("destage order %v, want submit order", *order)
+		}
+	}
+	if d.InFlight() != 0 || d.destage.n != 0 {
+		t.Fatalf("inflight %d, buffered %d after drain", d.InFlight(), d.destage.n)
+	}
+}
+
+func TestDestageGrowWithHeadOffsetKeepsFIFO(t *testing.T) {
+	// With room for 64, the ring starts at destageRingMin slots. Popping
+	// the first write moves head off 0; filling the ring wraps it; the next
+	// write forces a grow, which must linearise oldest-first.
+	eng, d := noiselessDisk("grow", 64)
+	var writes []int64
+	for i := 0; i < destageRingMin+2; i++ {
+		writes = append(writes, int64(i+1)<<30)
+	}
+	order := destageOrder(d, writes)
+	submitWrite(d, writes[0]) // destaged at once: head = 1
+	for _, off := range writes[1 : destageRingMin+1] {
+		submitWrite(d, off)
+	}
+	if r := d.destage; r.head != 1 || r.n != destageRingMin || len(r.buf) != destageRingMin {
+		t.Fatalf("before grow: head=%d n=%d cap=%d", r.head, r.n, len(r.buf))
+	}
+	submitWrite(d, writes[destageRingMin+1])
+	if r := d.destage; r.head != 0 || r.n != destageRingMin+1 || len(r.buf) != 2*destageRingMin {
+		t.Fatalf("after grow: head=%d n=%d cap=%d, want head 0, cap doubled", r.head, r.n, len(r.buf))
+	}
+	eng.Run()
+	if len(*order) != len(writes) {
+		t.Fatalf("destaged %v, want all %d writes", *order, len(writes))
+	}
+	for i, w := range *order {
+		if w != i {
+			t.Fatalf("destage order %v, want submit order", *order)
+		}
+	}
+}
+
+func TestDestageRingGrowthCappedAtSlots(t *testing.T) {
+	// Growth doubles but never past WriteBufferSlots, even when that is not
+	// a power of two.
+	_, d := noiselessDisk("cap", 40)
+	d.Submit(&blockio.Request{Op: blockio.Read, Offset: 900 << 30, Size: 4096, OnComplete: nop})
+	for i := 0; i < 40; i++ {
+		submitWrite(d, int64(i+1)<<30)
+	}
+	if len(d.destage.buf) != 40 || d.destage.n != 40 {
+		t.Fatalf("ring cap=%d n=%d, want both 40", len(d.destage.buf), d.destage.n)
+	}
+}
+
+func TestWriteBufferOverflowHitsSpindle(t *testing.T) {
+	// Once the ring holds WriteBufferSlots writes, further writes queue for
+	// the spindle like reads and complete only after real service.
+	eng, d := noiselessDisk("full", 2)
+	d.Submit(&blockio.Request{Op: blockio.Read, Offset: 900 << 30, Size: 4096, OnComplete: nop})
+	lat := make([]time.Duration, 4)
+	for i := range lat {
+		i := i
+		w := &blockio.Request{Op: blockio.Write, Offset: int64(i+1) << 30, Size: 4096}
+		w.OnComplete = func(r *blockio.Request) { lat[i] = r.Latency() }
+		d.Submit(w)
+	}
+	if d.destage.n != 2 || d.QueueLen() != 2 {
+		t.Fatalf("buffered %d, queued %d; want 2 and 2", d.destage.n, d.QueueLen())
+	}
+	eng.Run()
+	for i, l := range lat {
+		buffered := i < 2
+		if buffered && l != d.Config().WriteAckLatency {
+			t.Fatalf("buffered write %d latency %v, want the NVRAM ack %v", i, l, d.Config().WriteAckLatency)
+		}
+		if !buffered && l < time.Millisecond {
+			t.Fatalf("overflow write %d latency %v, want spindle service", i, l)
+		}
+	}
+	// One read, two overflow writes, two destages.
+	if d.Served() != 5 || d.InFlight() != 0 {
+		t.Fatalf("served %d, inflight %d; want 5 and 0", d.Served(), d.InFlight())
+	}
+}
+
+func TestNextSinglePassDropAgePick(t *testing.T) {
+	// One queue holding cancelled, aged, and near requests. next must drop
+	// the cancelled ones in queue order, let the first strictly-oldest
+	// aged request preempt SSTF, and keep the survivors' order; with no
+	// aged request left it takes the first strictly-nearest.
+	eng, d := noiselessDisk("onepass", 0)
+	eng.RunFor(100 * time.Millisecond)
+	now := eng.Now()
+	var dropped []string
+	mk := func(name string, off int64, age time.Duration, cancel bool) *blockio.Request {
+		r := &blockio.Request{Op: blockio.Read, Offset: off, Size: 4096, DispatchTime: now.Add(-age)}
+		r.OnDrop = func(*blockio.Request) { dropped = append(dropped, name) }
+		if cancel {
+			r.Cancel()
+		}
+		return r
+	}
+	d.headPos = 500 << 30
+	cA := mk("cA", 499<<30, 90*time.Millisecond, true) // nearest and oldest, but cancelled
+	near1 := mk("near1", 501<<30, time.Millisecond, false)
+	old1 := mk("old1", 10<<30, 40*time.Millisecond, false)
+	cB := mk("cB", 500<<30, 0, true)
+	old2 := mk("old2", 20<<30, 40*time.Millisecond, false)   // ties old1: old1 is first
+	near2 := mk("near2", 499<<30, 2*time.Millisecond, false) // ties near1: near1 is first
+	d.queue = []*blockio.Request{cA, near1, old1, cB, old2, near2}
+	d.inflight = len(d.queue)
+
+	want := []*blockio.Request{old1, old2, near1, near2}
+	wantQueues := [][]*blockio.Request{
+		{near1, old2, near2},
+		{near1, near2},
+		{near2},
+		{},
+	}
+	for step, w := range want {
+		got, destaged := d.next()
+		if got != w || destaged {
+			t.Fatalf("step %d: next picked %v (destage %v), want %v", step, got, destaged, w)
+		}
+		if len(d.queue) != len(wantQueues[step]) {
+			t.Fatalf("step %d: queue len %d, want %d", step, len(d.queue), len(wantQueues[step]))
+		}
+		for i, r := range wantQueues[step] {
+			if d.queue[i] != r {
+				t.Fatalf("step %d: queue order changed at %d", step, i)
+			}
+		}
+	}
+	if len(dropped) != 2 || dropped[0] != "cA" || dropped[1] != "cB" {
+		t.Fatalf("drops %v, want [cA cB] in queue order", dropped)
+	}
+	if d.InFlight() != 4 {
+		t.Fatalf("inflight %d, want 4 (two drops)", d.InFlight())
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"mittos/internal/cluster"
@@ -15,6 +16,40 @@ import (
 // the sweep visits when Options.Rates is empty: well under the knee, at the
 // knee, and past it, so the tables show the whole hockey stick.
 var defaultSweepRates = []float64{0.2, 0.5, 0.8, 0.95, 1.2, 1.5}
+
+// MinSweepRate and MaxSweepRate bound the offered-load multipliers a caller
+// may pass in Options.Rates (RunConfig.Rates, mittbench -rates). Near zero
+// a client's arrival interval overflows (1e-300 wraps it negative, and the
+// leg then issues every nanosecond). Past saturation the
+// arrivals pile up unserved and done/s has long plateaued: at quick scale a
+// 3× sweep peaks at 1.4 GiB resident, a 10× sweep at 7 GiB.
+const (
+	MinSweepRate = 0.01
+	MaxSweepRate = 3
+)
+
+// CheckSweepRate reports whether m is a usable offered-load multiplier: a
+// finite value in [MinSweepRate, MaxSweepRate].
+func CheckSweepRate(m float64) error {
+	if math.IsNaN(m) || m < MinSweepRate || m > MaxSweepRate {
+		return fmt.Errorf("offered-load multiplier %v outside [%v, %v]", m, MinSweepRate, MaxSweepRate)
+	}
+	return nil
+}
+
+// sweepMaxPresize caps a sweep client's latency-sample pre-sizing. It is
+// above every cell of the built-in sweep at full scale; a larger leg's
+// samples grow as they fill instead of reserving the whole leg up front.
+const sweepMaxPresize = 1 << 18
+
+// sweepPresize is the sample pre-sizing for a client issuing every iv over
+// d: the expected op count, capped at sweepMaxPresize.
+func sweepPresize(d, iv time.Duration) int {
+	if n := d / iv; n < sweepMaxPresize {
+		return int(n) + 1
+	}
+	return sweepMaxPresize
+}
 
 // SweepPoint is one (path, strategy, offered-rate) cell of the loadsweep
 // matrix — the machine-readable twin of the rendered tables, dumped by
@@ -291,7 +326,7 @@ func LoadSweep(opt Options) *Result {
 						Arrival:     cluster.ArrivalPoisson,
 						ScaleFactor: 1,
 						SLO:         *path.slo,
-						ExpectedOps: int(opt.Duration/iv) + 1,
+						ExpectedOps: sweepPresize(opt.Duration, iv),
 					}
 					wcfg := ycsb.DefaultConfig(opt.Keys)
 					if pi == 1 {

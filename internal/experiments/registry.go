@@ -25,7 +25,7 @@ type RunConfig struct {
 	// faults.ParseSchedule config string; empty = built-in scenario).
 	Faults string
 	// Rates overrides the loadsweep experiment's offered-load multipliers
-	// (empty = the built-in 0.2→1.5 sweep).
+	// (empty = the built-in 0.2→1.5 sweep). Each must pass CheckSweepRate.
 	Rates []float64
 }
 
@@ -114,6 +114,11 @@ func Run(id string, cfg RunConfig) (*Result, error) {
 	fn, ok := runners[id]
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown experiment %q (known: %v)", id, IDs())
+	}
+	for _, m := range cfg.Rates {
+		if err := CheckSweepRate(m); err != nil {
+			return nil, fmt.Errorf("experiments: rates: %w", err)
+		}
 	}
 	return fn(cfg), nil
 }
