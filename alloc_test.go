@@ -30,7 +30,7 @@ func (syncStrategy) Get(key int64, onDone func(cluster.GetResult)) {
 	onDone(cluster.GetResult{Latency: time.Microsecond, Tries: 1})
 }
 
-// newAllocCluster builds a minimal 3-node replicated cluster for the put
+// newAllocCluster builds a minimal 3-node replicated cluster for the client
 // issue-path pins, mirroring the experiment fleet shape.
 func newAllocCluster(name string, mitt bool) (*sim.Engine, *cluster.Cluster) {
 	eng := sim.NewEngine()
@@ -244,43 +244,66 @@ func TestAllocBudgets(t *testing.T) {
 			t.Fatalf("YCSB op generation allocates %.1f objects per op; budget is 0", avg)
 		}
 	})
-	t.Run("BasePutIssue", func(t *testing.T) {
-		// The full replicated-put round trip on the vanilla stack: op and
-		// quorum scratch from the cluster pools, three serve contexts, WAL
-		// commit, acks, and recycling — the steady-state write driver.
-		eng, c := newAllocCluster("alloc-baseput", false)
-		ps := &cluster.BasePut{C: c}
-		done := func(cluster.PutResult) {}
-		put := func() {
-			ps.Put(7, done)
-			eng.Run()
-		}
-		for i := 0; i < 64; i++ { // warm every pool on the path
-			put()
-		}
-		avg := testing.AllocsPerRun(200, put)
-		if avg != 0 {
-			t.Fatalf("BasePut issue path allocates %.1f objects per op; budget is 0", avg)
-		}
-	})
-	t.Run("MittOSPutIssue", func(t *testing.T) {
-		// Same round trip through the SLO-aware strategy: wait-hint probe,
-		// admission on each replica, quorum bookkeeping, and the accepted
-		// completion. On an idle fleet every copy is admitted, so this pins
-		// the common no-rejection case.
-		eng, c := newAllocCluster("alloc-mittput", true)
-		ps := &cluster.MittOSPut{C: c, Deadline: time.Second, UseWaitHint: true}
-		done := func(cluster.PutResult) {}
-		put := func() {
-			ps.Put(7, done)
-			eng.Run()
-		}
-		for i := 0; i < 64; i++ { // warm every pool on the path
-			put()
-		}
-		avg := testing.AllocsPerRun(200, put)
-		if avg != 0 {
-			t.Fatalf("MittOSPut issue path allocates %.1f objects per op; budget is 0", avg)
-		}
-	})
+	// Full client round trips through the replica-attempt kernel: op and
+	// attempt contexts from the cluster pools, serve contexts, revocation
+	// handles, timers and replies, then recycling. Each strategy runs on an
+	// idle fleet with knobs that fire its timers (AppTO's timeout and the
+	// hedges race a cold disk read), so the steady state covers them too.
+	for _, tc := range []struct {
+		name string
+		mitt bool
+		get  func(c *cluster.Cluster) cluster.Strategy
+		put  func(c *cluster.Cluster) cluster.PutStrategy
+	}{
+		{name: "BaseGetIssue", get: func(c *cluster.Cluster) cluster.Strategy { return &cluster.BaseStrategy{C: c} }},
+		{name: "AppTOGetIssue", get: func(c *cluster.Cluster) cluster.Strategy {
+			return &cluster.TimeoutStrategy{C: c, TO: time.Millisecond}
+		}},
+		{name: "CloneGetIssue", get: func(c *cluster.Cluster) cluster.Strategy {
+			return &cluster.CloneStrategy{C: c, RNG: sim.NewRNG(9, "alloc-clone")}
+		}},
+		{name: "HedgedGetIssue", get: func(c *cluster.Cluster) cluster.Strategy {
+			return &cluster.HedgedStrategy{C: c, HedgeAfter: time.Microsecond}
+		}},
+		{name: "TiedGetIssue", get: func(c *cluster.Cluster) cluster.Strategy {
+			return &cluster.TiedStrategy{C: c, RNG: sim.NewRNG(9, "alloc-tied")}
+		}},
+		{name: "MittOSGetIssue", mitt: true, get: func(c *cluster.Cluster) cluster.Strategy {
+			return &cluster.MittOSStrategy{C: c, Deadline: time.Second, UseWaitHint: true}
+		}},
+		{name: "BasePutIssue", put: func(c *cluster.Cluster) cluster.PutStrategy { return &cluster.BasePut{C: c} }},
+		{name: "AppTOPutIssue", put: func(c *cluster.Cluster) cluster.PutStrategy {
+			return &cluster.TimeoutPut{C: c, TO: time.Microsecond}
+		}},
+		{name: "HedgedPutIssue", put: func(c *cluster.Cluster) cluster.PutStrategy {
+			return &cluster.HedgedPut{C: c, HedgeAfter: time.Microsecond}
+		}},
+		// On an idle fleet every MittOS copy is admitted: the common
+		// no-rejection case, with the wait-hint probe and SLO admission.
+		{name: "MittOSPutIssue", mitt: true, put: func(c *cluster.Cluster) cluster.PutStrategy {
+			return &cluster.MittOSPut{C: c, Deadline: time.Second, UseWaitHint: true}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, c := newAllocCluster("alloc-"+tc.name, tc.mitt)
+			var issue func()
+			if tc.get != nil {
+				s, done := tc.get(c), func(cluster.GetResult) {}
+				issue = func() { s.Get(7, done) }
+			} else {
+				s, done := tc.put(c), func(cluster.PutResult) {}
+				issue = func() { s.Put(7, done) }
+			}
+			op := func() {
+				issue()
+				eng.Run()
+			}
+			for i := 0; i < 64; i++ { // warm every pool on the path
+				op()
+			}
+			if avg := testing.AllocsPerRun(200, op); avg != 0 {
+				t.Fatalf("%s allocates %.1f objects per op; budget is 0", tc.name, avg)
+			}
+		})
+	}
 }

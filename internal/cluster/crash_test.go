@@ -108,6 +108,9 @@ func TestEveryStrategyVsCrashedPrimary(t *testing.T) {
 		{"Snitch", func(c *Cluster) Strategy { return &SnitchStrategy{C: c} }, false},
 		{"C3", func(c *Cluster) Strategy { return &C3Strategy{C: c} }, false},
 		{"MittOS", func(c *Cluster) Strategy { return &MittOSStrategy{C: c, Deadline: 10 * time.Millisecond} }, false},
+		{"MittOS-consistent", func(c *Cluster) Strategy {
+			return &ConsistentMittOSStrategy{C: c, Deadline: 10 * time.Millisecond}
+		}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -153,6 +156,9 @@ func TestEveryStrategyVsWholeSetDown(t *testing.T) {
 		{"MittOS", func(c *Cluster) Strategy { return &MittOSStrategy{C: c, Deadline: 10 * time.Millisecond} }},
 		{"MittOS+hint", func(c *Cluster) Strategy {
 			return &MittOSStrategy{C: c, Deadline: 10 * time.Millisecond, UseWaitHint: true}
+		}},
+		{"MittOS-consistent", func(c *Cluster) Strategy {
+			return &ConsistentMittOSStrategy{C: c, Deadline: 10 * time.Millisecond}
 		}},
 	}
 	for _, tc := range cases {

@@ -100,28 +100,18 @@ type NodeConfig struct {
 // sequentially, never concurrently — and an experiment arena can carry a
 // warm bundle across legs instead of re-growing every pool from zero.
 type Pools struct {
-	getCtxs  []*getCtx
-	putCtxs  []*putCtx
-	handles  []*ServeHandle
-	calls    []*callCtx
-	putCalls []*putCallCtx
-	// Client-side strategy op contexts. These live here rather than on the
-	// strategy structs because experiments build a fresh strategy per leg:
-	// pooling per strategy would start every leg cold AND lose any op a
-	// wedged IO stranded past the leg's drain window. The ops rebind their
+	getCtxs  freelist[getCtx]
+	putCtxs  freelist[putCtx]
+	handles  freelist[ServeHandle]
+	calls    freelist[callCtx]
+	putCalls freelist[putCallCtx]
+	// Client strategy ops and their replica attempts. These live here rather
+	// than on the strategy structs because experiments build a fresh strategy
+	// per leg: pooling per strategy would start every leg cold AND lose any
+	// op a wedged IO stranded past the leg's drain window. Ops rebind their
 	// owning strategy at acquire, exactly like the serve contexts above.
-	baseOps     []*baseOp
-	timeoutOps  []*timeoutOp
-	timeoutAtts []*timeoutAttempt
-	cloneOps    []*cloneOp
-	hedgedOps   []*hedgedOp
-	mittOps     []*mittOp
-	// Put-strategy twins.
-	basePutOps    []*basePutOp
-	timeoutPutOps []*timeoutPutOp
-	hedgedPutOps  []*hedgedPutOp
-	mittPutOps    []*mittPutOp
-	mittPutCopies []*mittPutCopy
+	ops      freelist[op]
+	attempts freelist[attempt]
 	// Reqs is the shared block-IO request pool; nodes point their KV
 	// stores and page caches at it. (Requests recycle into the pool that
 	// created them, so the bundle must outlive every fleet using it.)
@@ -140,7 +130,7 @@ type TargetDevice struct {
 	T        core.Target
 	Rec      *metrics.Recorder // span boundary for IOs entering here (nil ok)
 	inflight int
-	opFree   []*tdOp
+	ops      freelist[tdOp]
 }
 
 // tdOp is the pooled per-IO completion context for the block-layer
@@ -152,10 +142,16 @@ type tdOp struct {
 	fn  func(error) // pre-bound op.done
 }
 
+func newTDOp() *tdOp {
+	op := &tdOp{}
+	op.fn = op.done
+	return op
+}
+
 func (op *tdOp) done(err error) {
 	d, req := op.d, op.req
 	op.req = nil
-	d.opFree = append(d.opFree, op)
+	d.ops.put(op)
 	if d.Rec != nil {
 		d.Rec.IOEnd(req, err, core.IsBusy(err))
 	}
@@ -171,15 +167,8 @@ func (d *TargetDevice) Submit(req *blockio.Request) {
 	if d.Rec != nil {
 		d.Rec.IOBegin(req)
 	}
-	var op *tdOp
-	if n := len(d.opFree); n > 0 {
-		op = d.opFree[n-1]
-		d.opFree = d.opFree[:n-1]
-	} else {
-		op = &tdOp{d: d}
-		op.fn = op.done
-	}
-	op.req = req
+	op := d.ops.get(newTDOp)
+	op.d, op.req = d, req
 	d.T.SubmitSLO(req, op.fn)
 }
 
@@ -188,9 +177,9 @@ func (d *TargetDevice) Submit(req *blockio.Request) {
 // verdict. Installed only when metrics are enabled, so the default path
 // keeps the bare Target.
 type tracedTarget struct {
-	rec    *metrics.Recorder
-	t      core.Target
-	opFree []*ttOp
+	rec *metrics.Recorder
+	t   core.Target
+	ops freelist[ttOp]
 }
 
 // ttOp is the traced boundary's pooled per-IO context.
@@ -201,10 +190,16 @@ type ttOp struct {
 	fn     func(error) // pre-bound op.done
 }
 
+func newTTOp() *ttOp {
+	op := &ttOp{}
+	op.fn = op.done
+	return op
+}
+
 func (op *ttOp) done(err error) {
 	t, req, onDone := op.t, op.req, op.onDone
 	op.req, op.onDone = nil, nil
-	t.opFree = append(t.opFree, op)
+	t.ops.put(op)
 	t.rec.IOEnd(req, err, core.IsBusy(err))
 	onDone(err)
 }
@@ -212,15 +207,8 @@ func (op *ttOp) done(err error) {
 // SubmitSLO implements core.Target.
 func (t *tracedTarget) SubmitSLO(req *blockio.Request, onDone func(error)) {
 	t.rec.IOBegin(req)
-	var op *ttOp
-	if n := len(t.opFree); n > 0 {
-		op = t.opFree[n-1]
-		t.opFree = t.opFree[:n-1]
-	} else {
-		op = &ttOp{t: t}
-		op.fn = op.done
-	}
-	op.req, op.onDone = req, onDone
+	op := t.ops.get(newTTOp)
+	op.t, op.req, op.onDone = t, req, onDone
 	t.t.SubmitSLO(req, op.fn)
 }
 
@@ -529,17 +517,11 @@ func (h *ServeHandle) deref() {
 	}
 	n := h.n
 	h.req, h.canceled, h.gen = nil, false, 0
-	n.pools.handles = append(n.pools.handles, h)
+	n.pools.handles.put(h)
 }
 
 func (n *Node) getHandle() *ServeHandle {
-	var h *ServeHandle
-	if ln := len(n.pools.handles); ln > 0 {
-		h = n.pools.handles[ln-1]
-		n.pools.handles = n.pools.handles[:ln-1]
-	} else {
-		h = &ServeHandle{}
-	}
+	h := n.pools.handles.get(nil)
 	h.n = n // pooled across the fleet: rebind the owner
 	h.refs = 2
 	return h
@@ -573,21 +555,14 @@ type getCtx struct {
 	dropFn func(*blockio.Request) // pre-bound ctx.drop: revocation terminal
 }
 
-func (n *Node) getGetCtx() *getCtx {
-	var ctx *getCtx
-	if ln := len(n.pools.getCtxs); ln > 0 {
-		ctx = n.pools.getCtxs[ln-1]
-		n.pools.getCtxs = n.pools.getCtxs[:ln-1]
-	} else {
-		ctx = &getCtx{}
-		ctx.workFn = ctx.work
-		ctx.kvFn = ctx.kv
-		ctx.respFn = ctx.resp
-		ctx.dropFn = ctx.drop
-		ctx.live.abortFn = ctx.abort
-		ctx.live.reclaimFn = ctx.reclaim
-	}
-	ctx.n = n // pooled across the fleet: rebind the owner
+func newGetCtx() *getCtx {
+	ctx := &getCtx{}
+	ctx.workFn = ctx.work
+	ctx.kvFn = ctx.kv
+	ctx.respFn = ctx.resp
+	ctx.dropFn = ctx.drop
+	ctx.live.abortFn = ctx.abort
+	ctx.live.reclaimFn = ctx.reclaim
 	return ctx
 }
 
@@ -595,7 +570,7 @@ func (n *Node) freeGetCtx(ctx *getCtx) {
 	n.unlink(&ctx.live)
 	ctx.aborted = false
 	ctx.onDone, ctx.h, ctx.req, ctx.err = nil, nil, nil, nil
-	n.pools.getCtxs = append(n.pools.getCtxs, ctx)
+	n.pools.getCtxs.put(ctx)
 }
 
 // abort is Crash's per-get teardown: the caller hears ErrNodeDown now; the
@@ -748,7 +723,8 @@ func (n *Node) serveGet(key int64, deadline time.Duration, onDone func(error), h
 		return
 	}
 	n.served++
-	ctx := n.getGetCtx()
+	ctx := n.pools.getCtxs.get(newGetCtx)
+	ctx.n = n // pooled across the fleet: rebind the owner
 	ctx.key, ctx.deadline, ctx.onDone, ctx.h = key, deadline, onDone, h
 	n.link(&ctx.live)
 	if n.cfg.CPU != nil && n.cfg.CPUPerOp > 0 {
@@ -782,20 +758,13 @@ type putCtx struct {
 	respFn func()      // pre-bound ctx.resp: CPU response stage
 }
 
-func (n *Node) getPutCtx() *putCtx {
-	var ctx *putCtx
-	if ln := len(n.pools.putCtxs); ln > 0 {
-		ctx = n.pools.putCtxs[ln-1]
-		n.pools.putCtxs = n.pools.putCtxs[:ln-1]
-	} else {
-		ctx = &putCtx{}
-		ctx.workFn = ctx.work
-		ctx.kvFn = ctx.kv
-		ctx.respFn = ctx.resp
-		ctx.live.abortFn = ctx.abort
-		ctx.live.reclaimFn = ctx.reclaim
-	}
-	ctx.n = n // pooled across the fleet: rebind the owner
+func newPutCtx() *putCtx {
+	ctx := &putCtx{}
+	ctx.workFn = ctx.work
+	ctx.kvFn = ctx.kv
+	ctx.respFn = ctx.resp
+	ctx.live.abortFn = ctx.abort
+	ctx.live.reclaimFn = ctx.reclaim
 	return ctx
 }
 
@@ -803,7 +772,7 @@ func (n *Node) freePutCtx(ctx *putCtx) {
 	n.unlink(&ctx.live)
 	ctx.aborted = false
 	ctx.onDone, ctx.err = nil, nil
-	n.pools.putCtxs = append(n.pools.putCtxs, ctx)
+	n.pools.putCtxs.put(ctx)
 }
 
 // abort is Crash's per-put teardown: the caller hears ErrNodeDown now (the
@@ -907,7 +876,8 @@ func (n *Node) servePut(key int64, deadline time.Duration, durable bool, onDone 
 		return
 	}
 	n.served++
-	ctx := n.getPutCtx()
+	ctx := n.pools.putCtxs.get(newPutCtx)
+	ctx.n = n // pooled across the fleet: rebind the owner
 	ctx.key, ctx.deadline, ctx.onDone = key, deadline, onDone
 	ctx.durable = durable
 	n.link(&ctx.live)
@@ -950,6 +920,14 @@ type callCtx struct {
 	replyFn func()      // pre-bound (*callCtx).reply
 }
 
+func newCallCtx() *callCtx {
+	ctx := &callCtx{}
+	ctx.sendFn = ctx.send
+	ctx.serveFn = ctx.serve
+	ctx.replyFn = ctx.reply
+	return ctx
+}
+
 func (ctx *callCtx) send() {
 	ctx.c.Nodes[ctx.node].ServeGet(ctx.key, ctx.deadline, ctx.serveFn)
 }
@@ -971,23 +949,14 @@ func (ctx *callCtx) reply() {
 	c, onDone, err := ctx.c, ctx.onDone, ctx.err
 	ctx.onDone = nil
 	ctx.err = nil
-	c.pools.calls = append(c.pools.calls, ctx)
+	c.pools.calls.put(ctx)
 	onDone(err)
 }
 
 // ReplicaCall sends a get to one node over the network and hands back the
-// result after the response hop; the shared plumbing under every strategy.
+// result after the response hop.
 func (c *Cluster) ReplicaCall(node int, key int64, deadline time.Duration, onDone func(error)) {
-	var ctx *callCtx
-	if n := len(c.pools.calls); n > 0 {
-		ctx = c.pools.calls[n-1]
-		c.pools.calls = c.pools.calls[:n-1]
-	} else {
-		ctx = &callCtx{}
-		ctx.sendFn = ctx.send
-		ctx.serveFn = ctx.serve
-		ctx.replyFn = ctx.reply
-	}
+	ctx := c.pools.calls.get(newCallCtx)
 	ctx.c = c // pooled across fleets: rebind the owner
 	ctx.node, ctx.key, ctx.deadline, ctx.onDone = node, key, deadline, onDone
 	c.Net.Send(ctx.sendFn)
@@ -1003,7 +972,6 @@ type putCallCtx struct {
 	onDone   func(error)
 	err      error
 	oneway   bool
-	durable  bool
 
 	sendFn  func()      // pre-bound (*putCallCtx).send
 	serveFn func(error) // pre-bound (*putCallCtx).serve
@@ -1011,10 +979,6 @@ type putCallCtx struct {
 }
 
 func (ctx *putCallCtx) send() {
-	if ctx.durable {
-		ctx.c.Nodes[ctx.node].ServePutDurable(ctx.key, ctx.deadline, ctx.serveFn)
-		return
-	}
 	ctx.c.Nodes[ctx.node].ServePutSLO(ctx.key, ctx.deadline, ctx.serveFn)
 }
 
@@ -1022,7 +986,7 @@ func (ctx *putCallCtx) serve(err error) {
 	if ctx.oneway {
 		c := ctx.c
 		ctx.onDone, ctx.err = nil, nil
-		c.pools.putCalls = append(c.pools.putCalls, ctx)
+		c.pools.putCalls.put(ctx)
 		return
 	}
 	ctx.err = err
@@ -1037,41 +1001,29 @@ func (ctx *putCallCtx) serve(err error) {
 func (ctx *putCallCtx) reply() {
 	c, onDone, err := ctx.c, ctx.onDone, ctx.err
 	ctx.onDone, ctx.err = nil, nil
-	c.pools.putCalls = append(c.pools.putCalls, ctx)
+	c.pools.putCalls.put(ctx)
 	onDone(err)
 }
 
+func newPutCallCtx() *putCallCtx {
+	ctx := &putCallCtx{}
+	ctx.sendFn = ctx.send
+	ctx.serveFn = ctx.serve
+	ctx.replyFn = ctx.reply
+	return ctx
+}
+
 func (c *Cluster) getPutCall() *putCallCtx {
-	var ctx *putCallCtx
-	if n := len(c.pools.putCalls); n > 0 {
-		ctx = c.pools.putCalls[n-1]
-		c.pools.putCalls = c.pools.putCalls[:n-1]
-	} else {
-		ctx = &putCallCtx{}
-		ctx.sendFn = ctx.send
-		ctx.serveFn = ctx.serve
-		ctx.replyFn = ctx.reply
-	}
+	ctx := c.pools.putCalls.get(newPutCallCtx)
 	ctx.c = c // pooled across fleets: rebind the owner
 	return ctx
 }
 
 // PutCall sends a put to one node over the network and hands back the ack
-// after the response hop; the shared plumbing under every put strategy.
+// after the response hop.
 func (c *Cluster) PutCall(node int, key int64, deadline time.Duration, onDone func(error)) {
 	ctx := c.getPutCall()
 	ctx.node, ctx.key, ctx.deadline, ctx.onDone, ctx.oneway = node, key, deadline, onDone, false
-	ctx.durable = false
-	c.Net.Send(ctx.sendFn)
-}
-
-// PutDurableCall is PutCall with durable-ack semantics: the serving node acks
-// only after the WAL group commit, so quorum strategies compare like for like
-// (deadline 0 = durable vanilla, never rejected; positive = fast-rejectable).
-func (c *Cluster) PutDurableCall(node int, key int64, deadline time.Duration, onDone func(error)) {
-	ctx := c.getPutCall()
-	ctx.node, ctx.key, ctx.deadline, ctx.onDone, ctx.oneway = node, key, deadline, onDone, false
-	ctx.durable = true
 	c.Net.Send(ctx.sendFn)
 }
 
@@ -1081,7 +1033,6 @@ func (c *Cluster) PutDurableCall(node int, key int64, deadline time.Duration, on
 func (c *Cluster) PutOneWay(node int, key int64) {
 	ctx := c.getPutCall()
 	ctx.node, ctx.key, ctx.deadline, ctx.onDone, ctx.oneway = node, key, 0, nil, true
-	ctx.durable = false
 	c.Net.Send(ctx.sendFn)
 }
 
@@ -1129,12 +1080,12 @@ func (c *Cluster) ReplicasInto(key int64, buf []int) []int {
 // they queue — the §7.5 mechanism that makes hedging backfire on fast SSDs
 // ("12 threads on a 8-thread machine cause the long tail").
 type CPUPool struct {
-	eng     *sim.Engine
-	cores   int
-	busy    int
-	queue   []cpuTask
-	head    int
-	runFree []*cpuRun
+	eng   *sim.Engine
+	cores int
+	busy  int
+	queue []cpuTask
+	head  int
+	runs  freelist[cpuRun]
 }
 
 type cpuTask struct {
@@ -1150,10 +1101,16 @@ type cpuRun struct {
 	stepFn func() // pre-bound r.step
 }
 
+func newCPURun() *cpuRun {
+	r := &cpuRun{}
+	r.stepFn = r.step
+	return r
+}
+
 func (r *cpuRun) step() {
 	p, fn := r.p, r.fn
 	r.fn = nil
-	p.runFree = append(p.runFree, r)
+	p.runs.put(r)
 	p.busy--
 	fn()
 	p.kick()
@@ -1197,15 +1154,8 @@ func (p *CPUPool) kick() {
 			p.head = 0
 		}
 		p.busy++
-		var r *cpuRun
-		if n := len(p.runFree); n > 0 {
-			r = p.runFree[n-1]
-			p.runFree = p.runFree[:n-1]
-		} else {
-			r = &cpuRun{p: p}
-			r.stepFn = r.step
-		}
-		r.fn = t.fn
+		r := p.runs.get(newCPURun)
+		r.p, r.fn = p, t.fn
 		p.eng.After(t.d, r.stepFn)
 	}
 }

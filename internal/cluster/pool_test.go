@@ -108,3 +108,46 @@ func TestTiedRevokeThenComplete(t *testing.T) {
 		t.Fatalf("post-revocation gets completed %d of 20", after)
 	}
 }
+
+// TestTiedTeardownReleasesHandles drives the teardown harvest against a
+// tied pair whose copies are both still queued: ReclaimStranded revokes
+// them, and both revocation handles must go back to the pool rather than
+// wait for a cancel hop that the engine reset discards.
+func TestTiedTeardownReleasesHandles(t *testing.T) {
+	c := newTestCluster(t, 3, false, 10000)
+	for _, r := range c.ReplicasFor(0) {
+		st := noise.NewSteady(c.Eng, c.Nodes[r].NoiseSink(), sim.NewRNG(int64(5+r), "noise"),
+			blockio.Read, 1<<20, 10, blockio.ClassBestEffort, 4, 99, 500<<30)
+		st.Start()
+	}
+	c.Eng.RunFor(100 * time.Millisecond)
+
+	s := &TiedStrategy{C: c, RNG: sim.NewRNG(3, "tied"), Delay: time.Millisecond}
+	free := freeHandles(c)
+	done := false
+	s.Get(0, func(GetResult) { done = true })
+	c.Eng.RunFor(3 * time.Millisecond) // both copies have landed and queued
+	if done {
+		t.Fatal("tied get finished before the harvest; the noise is too light")
+	}
+	reclaimed := 0
+	for _, n := range c.Nodes {
+		reclaimed += n.ReclaimStranded()
+	}
+	if reclaimed != 2 {
+		t.Fatalf("reclaimed %d stranded serves, want the 2 tied copies", reclaimed)
+	}
+	if got := freeHandles(c) - free; got != 2 {
+		t.Fatalf("%d of 2 revocation handles came back to the pool", got)
+	}
+}
+
+// freeHandles counts the pooled revocation handles across the fleet; nodes
+// built without a shared Pools keep their own.
+func freeHandles(c *Cluster) int {
+	n := 0
+	for _, node := range c.Nodes {
+		n += len(node.pools.handles.free)
+	}
+	return n
+}

@@ -5,12 +5,10 @@ import (
 	"time"
 
 	"mittos/internal/core"
-	"mittos/internal/sim"
 )
 
-// ErrQuorumFailed reports a replicated put that could not assemble W acks:
-// every base copy, replacement, and last-ditch retry either refused or
-// failed. The write may still be partially durable on the acking minority.
+// ErrQuorumFailed reports a replicated put that could not assemble W acks.
+// The write may still be durable on the acking minority.
 var ErrQuorumFailed = errors.New("cluster: write quorum failed")
 
 // PutResult reports one finished user-level replicated put.
@@ -18,8 +16,7 @@ type PutResult struct {
 	Latency time.Duration
 	// Acks is how many replicas had acknowledged when the verdict fired.
 	Acks int
-	// Copies is how many copies the strategy had sent by then (base
-	// replicas plus replacements/hedges/failovers).
+	// Copies is how many copies had been sent by then, extras included.
 	Copies int
 	// Err is non-nil only when the quorum failed (ErrQuorumFailed).
 	Err error
@@ -32,6 +29,12 @@ type PutStrategy interface {
 	Put(key int64, onDone func(PutResult))
 }
 
+// Name implements PutStrategy: the label the experiments print.
+func (*BasePut) Name() string    { return "Base" }
+func (*TimeoutPut) Name() string { return "AppTO" }
+func (*HedgedPut) Name() string  { return "Hedged" }
+func (*MittOSPut) Name() string  { return "MittOS" }
+
 // quorumVerdict is a quorumState transition.
 type quorumVerdict int
 
@@ -42,13 +45,10 @@ const (
 	quorumLate                         // reply after the terminal verdict
 )
 
-// quorumState is the W-of-N ack assembly for one replicated put: copies go
-// out via add, replies come back via report, and exactly one terminal is
-// reached — quorumReached from the Wth ack, or the strategy calling fail
-// once it is out of copies to send. Every copy targets a distinct node, so
-// ack counting needs no per-node dedup. The type is deliberately free of
-// cluster plumbing: the FuzzQuorumPut harness drives it directly against a
-// reference model, and the pooled per-put op contexts embed it by value.
+// quorumState is the W-of-N ack assembly of one put: copies go out via add,
+// replies come back via report, and one terminal is reached — the Wth ack,
+// or fail. Copies target distinct nodes, so acks need no dedup. It has no
+// cluster plumbing, so FuzzQuorumPut drives it against a reference model.
 type quorumState struct {
 	w      int
 	copies int // copies sent
@@ -65,9 +65,8 @@ func (q *quorumState) add(n int) { q.copies += n }
 // pending reports copies still awaiting a reply.
 func (q *quorumState) pending() int { return q.copies - q.acks - q.busy - q.down - q.errs }
 
-// report classifies one replica reply. Replies keep being tallied after the
-// terminal (the late arrivals the wasted-write accounting inspects), so
-// after a full drain acks+busy+down+errs == copies always holds.
+// report classifies one reply. Late replies are tallied too, so after a
+// full drain acks+busy+down+errs == copies.
 func (q *quorumState) report(err error) quorumVerdict {
 	late := q.done
 	switch {
@@ -90,13 +89,11 @@ func (q *quorumState) report(err error) quorumVerdict {
 	return quorumPending
 }
 
-// fail marks the failure terminal: the strategy has no copies left to send
-// and the outstanding set cannot reach W.
+// fail marks the failure terminal: nothing left to send can reach W.
 func (q *quorumState) fail() { q.done = true }
 
-// PutCounters is the shared per-strategy accounting, embedded in every put
-// strategy. Every reply is counted — including late ones — so after the
-// cluster drains, CopiesSent == Acks+Busy+NodeDown+Errors and
+// PutCounters is the accounting every put strategy embeds. Late replies are
+// counted too, so after a drain CopiesSent == Acks+Busy+NodeDown+Errors and
 // Puts == Quorums+Failed.
 type PutCounters struct {
 	Puts       uint64 // user-level puts issued
@@ -107,10 +104,8 @@ type PutCounters struct {
 	Errors     uint64 // WAL write failures (EIO)
 	Quorums    uint64 // puts that assembled W acks
 	Failed     uint64 // puts that exhausted every option short of W
-	// WastedWrites counts executed acks/errors from EXTRA copies (timeout
-	// replacements, hedges, MittOS failovers) that landed after the put's
-	// terminal verdict — durable work the client never waited for. Base
-	// replica copies are replication, never waste.
+	// WastedWrites counts executed replies of extra copies that landed after
+	// the verdict; base replica copies are replication, never waste.
 	WastedWrites uint64
 }
 
@@ -127,25 +122,9 @@ func (pc *PutCounters) count(err error) {
 	}
 }
 
-// quorumW resolves a strategy's W knob: 0 means a majority of the
-// replication factor (W = R/2+1, the Riak/Cassandra QUORUM default).
-func quorumW(c *Cluster, w int) int {
-	if w > 0 {
-		return w
-	}
-	return c.R/2 + 1
-}
-
-// putTerminalObserve feeds the client-visible quorum-assembly latency into
-// the key's primary-replica span histograms (the put path's quorum stage).
-func putTerminalObserve(c *Cluster, primary int, lat time.Duration) {
-	c.Nodes[primary].ObservePutQuorum(lat)
-}
-
-// BasePut is vanilla quorum replication: send one copy to each of the key's
-// R replicas with no SLO, ack the user at the Wth reply, wait out stragglers
-// silently. The straggler tail IS the user tail whenever W replies include a
-// contended replica.
+// BasePut is vanilla quorum replication: one copy to each of the R replicas
+// with no SLO, ack at the Wth reply. The straggler tail IS the user tail
+// whenever the W replies include a contended replica.
 type BasePut struct {
 	C *Cluster
 	// W is the ack quorum; 0 means majority (R/2+1).
@@ -154,115 +133,45 @@ type BasePut struct {
 	PutCounters
 }
 
-// basePutOp is the pooled per-put context: the quorum state is embedded by
-// value and every copy shares one pre-bound reply callback, so a
-// steady-state put allocates nothing. Like every strategy op it pools on
-// the cluster's shared Pools bundle and rebinds its owner at acquire.
-// refs keeps the op alive until the
-// straggler replies after the verdict have been tallied.
-type basePutOp struct {
-	s        *BasePut
-	start    sim.Time
-	onDone   func(PutResult)
-	q        quorumState
-	refs     int
-	replyFn  func(error) // pre-bound op.reply
-	replicas []int
-}
-
-// Name implements PutStrategy.
-func (s *BasePut) Name() string { return "Base" }
-
 // Put implements PutStrategy.
 func (s *BasePut) Put(key int64, onDone func(PutResult)) {
-	s.Puts++
-	var op *basePutOp
-	p := s.C.pools
-	if n := len(p.basePutOps); n > 0 {
-		op = p.basePutOps[n-1]
-		p.basePutOps = p.basePutOps[:n-1]
-	} else {
-		op = &basePutOp{}
-		op.replyFn = op.reply
-	}
-	op.s = s // pooled across fleets: rebind the owner
-	op.start = s.C.Eng.Now()
-	op.onDone = onDone
-	op.q = quorumState{w: quorumW(s.C, s.W)}
-	op.replicas = s.C.ReplicasInto(key, op.replicas)
-	op.q.add(len(op.replicas))
-	op.refs = len(op.replicas)
-	s.CopiesSent += uint64(len(op.replicas))
-	for _, r := range op.replicas {
-		s.C.PutDurableCall(r, key, 0, op.replyFn)
-	}
+	s.C.startPut(s, &s.PutCounters, key, s.W, onDone, 0, noTimer)
 }
 
-func (op *basePutOp) deref() {
-	op.refs--
-	if op.refs > 0 {
+func (s *BasePut) reply(*op, *attempt, error) {}
+
+// handoff sends the missing acks' worth of extra copies to the next ring
+// nodes (a sloppy quorum) and reports whether any went out.
+func (o *op) handoff() bool {
+	sent := false
+	for i := o.q.w - o.q.acks; i > 0; i-- {
+		n := o.takeRing()
+		if n < 0 {
+			break
+		}
+		sent = true
+		o.send(n, 0, noTimer).extra = true
+	}
+	return sent
+}
+
+// handoffDown hands a crashed replica's copy to the ring at once rather than
+// after the timer, counting it in retries unless that is nil.
+func (o *op) handoffDown(err error, retries *uint64) {
+	if !errors.Is(err, ErrNodeDown) {
 		return
 	}
-	s := op.s
-	op.onDone = nil
-	s.C.pools.basePutOps = append(s.C.pools.basePutOps, op)
-}
-
-func (op *basePutOp) reply(err error) {
-	s := op.s
-	s.count(err)
-	switch op.q.report(err) {
-	case quorumReached:
-		s.Quorums++
-		lat := s.C.Eng.Now().Sub(op.start)
-		putTerminalObserve(s.C, op.replicas[0], lat)
-		op.onDone(PutResult{Latency: lat, Acks: op.q.acks, Copies: op.q.copies})
-	case quorumPending:
-		if op.q.pending() == 0 {
-			// Everything replied and we are short of W: no extras in
-			// this strategy, so the put fails.
-			op.q.fail()
-			s.Failed++
-			op.onDone(PutResult{Latency: s.C.Eng.Now().Sub(op.start),
-				Acks: op.q.acks, Copies: op.q.copies, Err: ErrQuorumFailed})
+	if n := o.takeRing(); n >= 0 {
+		if retries != nil {
+			*retries++
 		}
+		o.send(n, 0, noTimer).extra = true
 	}
-	op.deref()
 }
 
-// ringCandidates walks the consistent-hash ring past the key's replica set,
-// handing out each remaining node index once — the Dynamo-style sloppy-
-// quorum handoff targets replacements, hedges, and failovers write to.
-type ringCandidates struct {
-	c    *Cluster
-	base int // the key's primary replica
-	next int // next ring offset to hand out (starts past the replica set)
-}
-
-func newRingCandidates(c *Cluster, primary int) ringCandidates {
-	return ringCandidates{c: c, base: primary, next: c.R}
-}
-
-// take returns the next unused live node on the ring, or -1 when the ring is
-// exhausted. Crashed nodes are skipped (a handoff to a dead node is an RTT
-// spent on a refusal).
-func (rc *ringCandidates) take() int {
-	for rc.next < len(rc.c.Nodes) {
-		n := (rc.base + rc.next) % len(rc.c.Nodes)
-		rc.next++
-		if !rc.c.Nodes[n].Down() {
-			return n
-		}
-	}
-	return -1
-}
-
-// TimeoutPut is the "AppTO" write: quorum-replicate with no SLO and, after a
-// conservative timeout, hand the still-missing acks off to the next nodes on
-// the ring (there is nothing to cancel — the stragglers' WAL appends are
-// group-committed and will land regardless, which is exactly why their late
-// acks show up as wasted writes). A crashed replica's refusal triggers the
-// handoff immediately instead of burning the timeout.
+// TimeoutPut is the "AppTO" write: after a conservative timeout, hand the
+// missing acks off to the next ring nodes. Stragglers land regardless, so
+// their late acks are wasted writes. A crash refusal is handed off at once.
 type TimeoutPut struct {
 	C  *Cluster
 	TO time.Duration
@@ -273,149 +182,22 @@ type TimeoutPut struct {
 	Retries uint64
 }
 
-// timeoutPutOp is the pooled per-put context. Base and handoff copies get
-// distinct pre-bound reply callbacks so the wasted-write accounting can
-// tell them apart without a per-copy closure. The handoff timer is an
-// engine-owned recycled event that cannot be cancelled; it holds a
-// reference and stays quiet when it finds the quorum already decided.
-type timeoutPutOp struct {
-	s        *TimeoutPut
-	key      int64
-	start    sim.Time
-	onDone   func(PutResult)
-	q        quorumState
-	cands    ringCandidates
-	refs     int
-	baseFn   func(error) // pre-bound op.replyBase
-	extraFn  func(error) // pre-bound op.replyExtra
-	timerFn  func()      // pre-bound op.timerFire
-	replicas []int
-}
-
-// Name implements PutStrategy.
-func (s *TimeoutPut) Name() string { return "AppTO" }
-
 // Put implements PutStrategy.
 func (s *TimeoutPut) Put(key int64, onDone func(PutResult)) {
-	s.Puts++
-	var op *timeoutPutOp
-	p := s.C.pools
-	if n := len(p.timeoutPutOps); n > 0 {
-		op = p.timeoutPutOps[n-1]
-		p.timeoutPutOps = p.timeoutPutOps[:n-1]
-	} else {
-		op = &timeoutPutOp{}
-		op.baseFn = op.replyBase
-		op.extraFn = op.replyExtra
-		op.timerFn = op.timerFire
-	}
-	op.s = s // pooled across fleets: rebind the owner
-	op.key = key
-	op.start = s.C.Eng.Now()
-	op.onDone = onDone
-	op.q = quorumState{w: quorumW(s.C, s.W)}
-	op.replicas = s.C.ReplicasInto(key, op.replicas)
-	op.cands = newRingCandidates(s.C, op.replicas[0])
-	op.refs = 1 // the handoff timer
-	s.C.Eng.After(s.TO, op.timerFn)
-	for _, r := range op.replicas {
-		op.send(r, false)
+	s.C.startPut(s, &s.PutCounters, key, s.W, onDone, 0, s.TO)
+}
+
+func (s *TimeoutPut) reply(o *op, _ *attempt, err error) { o.handoffDown(err, &s.Retries) }
+
+func (s *TimeoutPut) fire(o *op, _ *attempt) {
+	if !o.q.done && o.handoff() {
+		s.Retries++
 	}
 }
 
-func (op *timeoutPutOp) send(node int, extra bool) {
-	s := op.s
-	op.q.add(1)
-	op.refs++
-	s.CopiesSent++
-	fn := op.baseFn
-	if extra {
-		fn = op.extraFn
-	}
-	s.C.PutDurableCall(node, op.key, 0, fn)
-}
-
-func (op *timeoutPutOp) deref() {
-	op.refs--
-	if op.refs > 0 {
-		return
-	}
-	s := op.s
-	op.onDone = nil
-	s.C.pools.timeoutPutOps = append(s.C.pools.timeoutPutOps, op)
-}
-
-func (op *timeoutPutOp) terminal(err error) {
-	s := op.s
-	lat := s.C.Eng.Now().Sub(op.start)
-	if err == nil {
-		s.Quorums++
-		putTerminalObserve(s.C, op.replicas[0], lat)
-	} else {
-		s.Failed++
-	}
-	op.onDone(PutResult{Latency: lat, Acks: op.q.acks, Copies: op.q.copies, Err: err})
-}
-
-func (op *timeoutPutOp) replyBase(err error) { op.reply(false, err) }
-
-func (op *timeoutPutOp) replyExtra(err error) { op.reply(true, err) }
-
-func (op *timeoutPutOp) reply(extra bool, err error) {
-	s := op.s
-	s.count(err)
-	switch op.q.report(err) {
-	case quorumReached:
-		op.terminal(nil)
-	case quorumLate:
-		if extra && wasted(err) {
-			s.WastedWrites++ // the handoff copy landed after the verdict
-		}
-	case quorumPending:
-		if errors.Is(err, ErrNodeDown) {
-			// Crashed replica: its refusal came back in one RTT; hand
-			// off now rather than waiting out TO.
-			if n := op.cands.take(); n >= 0 {
-				s.Retries++
-				op.send(n, true)
-				break
-			}
-		}
-		if op.q.pending() == 0 {
-			op.q.fail()
-			op.terminal(ErrQuorumFailed)
-		}
-	}
-	op.deref()
-}
-
-func (op *timeoutPutOp) timerFire() {
-	s := op.s
-	if !op.q.done {
-		// Hand the missing acks off to the ring; the abandoned stragglers
-		// keep running (no revocation on the write path).
-		need := op.q.w - op.q.acks
-		sent := false
-		for i := 0; i < need; i++ {
-			n := op.cands.take()
-			if n < 0 {
-				break
-			}
-			sent = true
-			op.send(n, true)
-		}
-		if sent {
-			s.Retries++
-		}
-	}
-	op.deref()
-}
-
-// HedgedPut is the Dean & Barroso hedge applied to writes: quorum-replicate
-// with no SLO and, once the put has been outstanding past the expected p95,
-// proactively duplicate the missing acks onto the next ring nodes. The
-// losing copies are pure write amplification (WastedWrites); a crashed
-// replica's refusal hedges immediately.
+// HedgedPut is the Dean & Barroso hedge applied to writes: past the
+// expected p95, duplicate the missing acks onto the next ring nodes; a crash
+// refusal hedges at once. The losers are pure write amplification.
 type HedgedPut struct {
 	C          *Cluster
 	HedgeAfter time.Duration
@@ -426,153 +208,29 @@ type HedgedPut struct {
 	Hedges uint64
 }
 
-// hedgedPutOp is the pooled per-put context, structurally the same as
-// timeoutPutOp: the hedge timer holds a reference and no-ops after the
-// verdict, and base vs hedge copies use distinct pre-bound callbacks.
-type hedgedPutOp struct {
-	s        *HedgedPut
-	key      int64
-	start    sim.Time
-	onDone   func(PutResult)
-	q        quorumState
-	cands    ringCandidates
-	refs     int
-	baseFn   func(error) // pre-bound op.replyBase
-	extraFn  func(error) // pre-bound op.replyExtra
-	timerFn  func()      // pre-bound op.timerFire
-	replicas []int
-}
-
-// Name implements PutStrategy.
-func (s *HedgedPut) Name() string { return "Hedged" }
-
 // Put implements PutStrategy.
 func (s *HedgedPut) Put(key int64, onDone func(PutResult)) {
-	s.Puts++
-	var op *hedgedPutOp
-	p := s.C.pools
-	if n := len(p.hedgedPutOps); n > 0 {
-		op = p.hedgedPutOps[n-1]
-		p.hedgedPutOps = p.hedgedPutOps[:n-1]
-	} else {
-		op = &hedgedPutOp{}
-		op.baseFn = op.replyBase
-		op.extraFn = op.replyExtra
-		op.timerFn = op.timerFire
-	}
-	op.s = s // pooled across fleets: rebind the owner
-	op.key = key
-	op.start = s.C.Eng.Now()
-	op.onDone = onDone
-	op.q = quorumState{w: quorumW(s.C, s.W)}
-	op.replicas = s.C.ReplicasInto(key, op.replicas)
-	op.cands = newRingCandidates(s.C, op.replicas[0])
-	op.refs = 1 // the hedge timer
-	s.C.Eng.After(s.HedgeAfter, op.timerFn)
-	for _, r := range op.replicas {
-		op.send(r, false)
+	s.C.startPut(s, &s.PutCounters, key, s.W, onDone, 0, s.HedgeAfter)
+}
+
+func (s *HedgedPut) reply(o *op, _ *attempt, err error) { o.handoffDown(err, nil) }
+
+func (s *HedgedPut) fire(o *op, _ *attempt) {
+	if !o.q.done && o.handoff() {
+		s.Hedges++
 	}
 }
 
-func (op *hedgedPutOp) send(node int, extra bool) {
-	s := op.s
-	op.q.add(1)
-	op.refs++
-	s.CopiesSent++
-	fn := op.baseFn
-	if extra {
-		fn = op.extraFn
-	}
-	s.C.PutDurableCall(node, op.key, 0, fn)
-}
-
-func (op *hedgedPutOp) deref() {
-	op.refs--
-	if op.refs > 0 {
-		return
-	}
-	s := op.s
-	op.onDone = nil
-	s.C.pools.hedgedPutOps = append(s.C.pools.hedgedPutOps, op)
-}
-
-func (op *hedgedPutOp) terminal(err error) {
-	s := op.s
-	lat := s.C.Eng.Now().Sub(op.start)
-	if err == nil {
-		s.Quorums++
-		putTerminalObserve(s.C, op.replicas[0], lat)
-	} else {
-		s.Failed++
-	}
-	op.onDone(PutResult{Latency: lat, Acks: op.q.acks, Copies: op.q.copies, Err: err})
-}
-
-func (op *hedgedPutOp) replyBase(err error) { op.reply(false, err) }
-
-func (op *hedgedPutOp) replyExtra(err error) { op.reply(true, err) }
-
-func (op *hedgedPutOp) reply(extra bool, err error) {
-	s := op.s
-	s.count(err)
-	switch op.q.report(err) {
-	case quorumReached:
-		op.terminal(nil)
-	case quorumLate:
-		if extra && wasted(err) {
-			s.WastedWrites++ // the hedge lost the race
-		}
-	case quorumPending:
-		if errors.Is(err, ErrNodeDown) {
-			if n := op.cands.take(); n >= 0 {
-				op.send(n, true)
-				break
-			}
-		}
-		if op.q.pending() == 0 {
-			op.q.fail()
-			op.terminal(ErrQuorumFailed)
-		}
-	}
-	op.deref()
-}
-
-func (op *hedgedPutOp) timerFire() {
-	s := op.s
-	if !op.q.done {
-		need := op.q.w - op.q.acks
-		sent := false
-		for i := 0; i < need; i++ {
-			n := op.cands.take()
-			if n < 0 {
-				break
-			}
-			sent = true
-			op.send(n, true)
-		}
-		if sent {
-			s.Hedges++
-		}
-	}
-	op.deref()
-}
-
-// MittOSPut is the paper's contribution on the write path: every copy
-// carries the deadline SLO, so a contended replica's WAL admission answers
-// EBUSY in one RTT instead of holding the quorum hostage; the client fails
-// the copy over to the next ring node instantly (still with the deadline).
-// When the ring is exhausted and the quorum is still short, the last-ditch
-// pass re-sends the missing acks to rejecting replicas with the deadline
-// disabled — §5's "cancel the SLO on the final try" no-error guarantee —
-// picking the least-busy rejectors first when UseWaitHint exposes the
-// predicted-wait hints (§7.8.1/§8.1).
+// MittOSPut is the paper's write path: every copy carries the deadline, so
+// a contended WAL answers EBUSY in one RTT and the copy fails over to the
+// next ring node. With the ring spent short of W, a last-ditch pass re-sends
+// to rejectors without a deadline (§5), least busy first under UseWaitHint.
 type MittOSPut struct {
 	C        *Cluster
 	Deadline time.Duration
 	// W is the ack quorum; 0 means majority (R/2+1).
 	W int
-	// UseWaitHint ranks last-ditch targets by their EBUSY predicted-wait
-	// hints instead of rejection order.
+	// UseWaitHint ranks last-ditch targets by predicted wait, not rejection order.
 	UseWaitHint bool
 
 	PutCounters
@@ -580,180 +238,48 @@ type MittOSPut struct {
 	LastDitch uint64
 }
 
-// putReject is a rejecting node and its predicted wait, in rejection order —
-// the last-ditch candidate pool.
-type putReject struct {
-	node int
-	wait time.Duration
-}
-
-// mittPutOp is the pooled per-put context; the rejects scratch is reused
-// across puts.
-type mittPutOp struct {
-	s        *MittOSPut
-	key      int64
-	start    sim.Time
-	onDone   func(PutResult)
-	q        quorumState
-	cands    ringCandidates
-	refs     int
-	replicas []int
-	rejects  []putReject
-}
-
-// mittPutCopy is the pooled per-copy context: unlike the other put
-// strategies, a MittOS reply needs to know which node it came from (the
-// rejects pool records it), so each in-flight copy carries one of these
-// instead of a closure.
-type mittPutCopy struct {
-	s     *MittOSPut
-	op    *mittPutOp
-	node  int
-	extra bool
-	fn    func(error) // pre-bound cp.reply
-}
-
-// Name implements PutStrategy.
-func (s *MittOSPut) Name() string { return "MittOS" }
-
 // Put implements PutStrategy.
 func (s *MittOSPut) Put(key int64, onDone func(PutResult)) {
-	s.Puts++
-	var op *mittPutOp
-	p := s.C.pools
-	if n := len(p.mittPutOps); n > 0 {
-		op = p.mittPutOps[n-1]
-		p.mittPutOps = p.mittPutOps[:n-1]
-	} else {
-		op = &mittPutOp{}
+	s.C.startPut(s, &s.PutCounters, key, s.W, onDone, s.Deadline, noTimer)
+}
+
+func (s *MittOSPut) reply(o *op, a *attempt, err error) {
+	busy := core.IsBusy(err)
+	if busy {
+		o.rejects = append(o.rejects, reject{a.node, busyWait(err)})
 	}
-	op.s = s // pooled across fleets: rebind the owner
-	op.key = key
-	op.start = s.C.Eng.Now()
-	op.onDone = onDone
-	op.q = quorumState{w: quorumW(s.C, s.W)}
-	op.replicas = s.C.ReplicasInto(key, op.replicas)
-	op.cands = newRingCandidates(s.C, op.replicas[0])
-	op.rejects = op.rejects[:0]
-	for _, r := range op.replicas {
-		op.send(r, s.Deadline, false)
+	if busy || errors.Is(err, ErrNodeDown) {
+		// Instant failover, still with the deadline: a refusal costs one RTT.
+		if n := o.takeRing(); n >= 0 {
+			s.Failovers++
+			o.send(n, s.Deadline, noTimer).extra = true
+			return
+		}
+	}
+	if o.q.w-o.q.acks > o.q.pending() {
+		s.lastDitch(o)
 	}
 }
 
-func (op *mittPutOp) send(node int, deadline time.Duration, extra bool) {
-	s := op.s
-	op.q.add(1)
-	op.refs++
-	s.CopiesSent++
-	var cp *mittPutCopy
-	p := s.C.pools
-	if n := len(p.mittPutCopies); n > 0 {
-		cp = p.mittPutCopies[n-1]
-		p.mittPutCopies = p.mittPutCopies[:n-1]
-	} else {
-		cp = &mittPutCopy{}
-		cp.fn = cp.reply
-	}
-	cp.s = s // pooled across fleets: rebind the owner
-	cp.op, cp.node, cp.extra = op, node, extra
-	s.C.PutDurableCall(node, op.key, deadline, cp.fn)
-}
-
-func (cp *mittPutCopy) reply(err error) {
-	s, op, node, extra := cp.s, cp.op, cp.node, cp.extra
-	cp.op = nil
-	s.C.pools.mittPutCopies = append(s.C.pools.mittPutCopies, cp)
-	op.reply(node, extra, err)
-}
-
-func (op *mittPutOp) deref() {
-	op.refs--
-	if op.refs > 0 {
-		return
-	}
-	s := op.s
-	op.onDone = nil
-	s.C.pools.mittPutOps = append(s.C.pools.mittPutOps, op)
-}
-
-func (op *mittPutOp) terminal(err error) {
-	s := op.s
-	lat := s.C.Eng.Now().Sub(op.start)
-	if err == nil {
-		s.Quorums++
-		putTerminalObserve(s.C, op.replicas[0], lat)
-	} else {
-		s.Failed++
-	}
-	op.onDone(PutResult{Latency: lat, Acks: op.q.acks, Copies: op.q.copies, Err: err})
-}
-
-// lastDitch re-targets rejectors with the deadline disabled; they executed
-// nothing for the rejected copy, so a retry duplicates no work.
-func (op *mittPutOp) lastDitch() bool {
-	s := op.s
-	need := op.q.w - op.q.acks - op.q.pending()
-	sent := false
-	for ; need > 0 && len(op.rejects) > 0; need-- {
+// lastDitch re-targets rejectors without a deadline; they ran nothing for
+// the rejected copy, so no work is duplicated.
+func (s *MittOSPut) lastDitch(o *op) {
+	for need := o.q.w - o.q.acks - o.q.pending(); need > 0 && len(o.rejects) > 0; need-- {
 		best := 0
 		if s.UseWaitHint {
-			for j := 1; j < len(op.rejects); j++ {
-				if op.rejects[j].wait < op.rejects[best].wait {
+			for j := 1; j < len(o.rejects); j++ {
+				if o.rejects[j].wait < o.rejects[best].wait {
 					best = j
 				}
 			}
 		}
-		n := op.rejects[best].node
-		op.rejects[best] = op.rejects[len(op.rejects)-1]
-		op.rejects = op.rejects[:len(op.rejects)-1]
+		n := o.rejects[best].node
+		o.rejects[best] = o.rejects[len(o.rejects)-1]
+		o.rejects = o.rejects[:len(o.rejects)-1]
 		if s.C.Nodes[n].Down() {
 			continue
 		}
-		sent = true
 		s.LastDitch++
-		op.send(n, 0, true)
+		o.send(n, 0, noTimer).extra = true
 	}
-	return sent || op.q.pending() > 0
-}
-
-func (op *mittPutOp) reply(node int, extra bool, err error) {
-	s := op.s
-	s.count(err)
-	switch op.q.report(err) {
-	case quorumReached:
-		op.terminal(nil)
-	case quorumLate:
-		if extra && wasted(err) {
-			s.WastedWrites++ // the failover landed after the verdict
-		}
-	case quorumPending:
-		if core.IsBusy(err) {
-			wait := time.Duration(0)
-			if be, ok := err.(*core.BusyError); ok {
-				wait = be.PredictedWait
-			}
-			op.rejects = append(op.rejects, putReject{node: node, wait: wait})
-		}
-		if core.IsBusy(err) || errors.Is(err, ErrNodeDown) {
-			// Instant failover: the refusal cost one RTT, not a queue
-			// wait. The replacement still carries the deadline.
-			if n := op.cands.take(); n >= 0 {
-				s.Failovers++
-				op.send(n, s.Deadline, true)
-				break
-			}
-		}
-		if errors.Is(err, ErrRevoked) {
-			// Teardown harvest of a stranded copy: the engine is being
-			// reset, so sending last-ditch copies would only strand more
-			// contexts. Fall through to the pending check.
-		} else if op.q.w-op.q.acks > op.q.pending() && op.lastDitch() {
-			break // last-ditch copies (or stragglers) still in flight
-		}
-		if op.q.pending() == 0 {
-			op.q.fail()
-			op.terminal(ErrQuorumFailed)
-		}
-	}
-	op.deref()
 }

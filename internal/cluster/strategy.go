@@ -9,10 +9,8 @@ import (
 	"mittos/internal/sim"
 )
 
-// wasted reports whether a late (already-superseded) reply represents an IO
-// the cluster actually executed and threw away. Fast refusals — EBUSY,
-// node-down, and revoked-before-dispatch — never reached a device, so they
-// are not waste.
+// wasted reports whether a superseded reply stands for an IO that ran; fast
+// refusals (EBUSY, node-down, revoked before dispatch) never reached a device.
 func wasted(err error) bool {
 	return !core.IsBusy(err) && !errors.Is(err, ErrNodeDown) && !errors.Is(err, ErrRevoked)
 }
@@ -27,19 +25,23 @@ type GetResult struct {
 	Err error
 }
 
-// Strategy issues one client get against the cluster and reports the
-// user-observed completion. Implementations are the paper's comparison
-// points (§7.2).
+// Strategy issues one client get and reports the user-observed completion.
+// Implementations are the paper's comparison points (§7.2).
 type Strategy interface {
 	Name() string
 	Get(key int64, onDone func(GetResult))
 }
 
-// replicaCall sends a get to one node over the network and hands back the
-// result; the shared plumbing under every strategy.
-func replicaCall(c *Cluster, node int, key int64, deadline time.Duration, onDone func(error)) {
-	c.ReplicaCall(node, key, deadline, onDone)
-}
+// Name implements Strategy: the label the experiments print.
+func (*BaseStrategy) Name() string             { return "Base" }
+func (*TimeoutStrategy) Name() string          { return "AppTO" }
+func (*CloneStrategy) Name() string            { return "Clone" }
+func (*HedgedStrategy) Name() string           { return "Hedged" }
+func (*SnitchStrategy) Name() string           { return "Snitch" }
+func (*C3Strategy) Name() string               { return "C3" }
+func (*MittOSStrategy) Name() string           { return "MittOS" }
+func (*TiedStrategy) Name() string             { return "Tied" }
+func (*ConsistentMittOSStrategy) Name() string { return "MittOS-consistent" }
 
 // BaseStrategy is vanilla MongoDB on vanilla Linux: ask the primary
 // replica, wait however long it takes.
@@ -47,238 +49,63 @@ type BaseStrategy struct {
 	C *Cluster
 }
 
-// baseOp is the pooled per-get context: one reply callback bound once, so a
-// steady-state get allocates nothing. Ops pool on the cluster's shared
-// Pools bundle (not the strategy — strategies are per-leg) and rebind their
-// owner at acquire.
-type baseOp struct {
-	s        *BaseStrategy
-	start    sim.Time
-	onDone   func(GetResult)
-	replyFn  func(error) // pre-bound op.reply
-	replicas []int
-}
-
-// Name implements Strategy.
-func (s *BaseStrategy) Name() string { return "Base" }
-
 // Get implements Strategy.
 func (s *BaseStrategy) Get(key int64, onDone func(GetResult)) {
-	var op *baseOp
-	p := s.C.pools
-	if n := len(p.baseOps); n > 0 {
-		op = p.baseOps[n-1]
-		p.baseOps = p.baseOps[:n-1]
-	} else {
-		op = &baseOp{}
-		op.replyFn = op.reply
-	}
-	op.s = s // pooled across fleets: rebind the owner
-	op.start = s.C.Eng.Now()
-	op.onDone = onDone
-	op.replicas = s.C.ReplicasInto(key, op.replicas)
-	replicaCall(s.C, op.replicas[0], key, 0, op.replyFn)
+	o := s.C.acquire(s, key, onDone, nil)
+	o.send(o.replicas[0], 0, noTimer)
 }
 
-func (op *baseOp) reply(err error) {
-	s, onDone := op.s, op.onDone
-	lat := s.C.Eng.Now().Sub(op.start)
-	op.onDone = nil
-	s.C.pools.baseOps = append(s.C.pools.baseOps, op)
-	onDone(GetResult{Latency: lat, Tries: 1, Err: err})
-}
+func (s *BaseStrategy) reply(o *op, a *attempt, err error) { o.deliver(1, err) }
 
 // TimeoutStrategy is the "AppTO" comparison: cancel and retry on the next
 // replica after TO, with the timeout disabled on the final try so users do
-// not see read errors (§7.2). The timed-out attempt is revoked: if its IO is
-// still in the replica's scheduler queues the cancel drops it; an IO already
-// on the device runs to completion and is discarded (counted in WastedIOs).
-// A replica that refuses because it crashed triggers an immediate retry on
-// the next one instead of burning the full timeout.
+// not see read errors (§7.2). The timed-out attempt's IO is revoked if still
+// queued; one already on the device runs and is discarded (WastedIOs). A
+// crashed replica's refusal is retried at once rather than after TO.
 type TimeoutStrategy struct {
 	C  *Cluster
 	TO time.Duration
 
-	Retries uint64
-	// WastedIOs counts abandoned attempts whose IO the cluster executed
-	// anyway — the revocation arrived too late to drop it from a queue.
-	WastedIOs uint64
+	Retries   uint64
+	WastedIOs uint64 // abandoned attempts whose IO ran anyway
 }
-
-// timeoutOp is the pooled per-get context. Each retry round is a separate
-// pooled timeoutAttempt, because a superseded attempt's callbacks (a late
-// completion, or the drop of its revoked IO) can still be in flight while
-// the next round runs; the op is reclaimed when its last attempt resolves.
-type timeoutOp struct {
-	s        *TimeoutStrategy
-	key      int64
-	start    sim.Time
-	onDone   func(GetResult)
-	refs     int // live attempts holding this op
-	replicas []int
-}
-
-// timeoutAttempt is one retry round: request hop, serve callback, response
-// hop, and (except on the final round) the retry timer. The timer is an
-// engine-owned recycled event that cannot be cancelled, so it holds a
-// reference and no-ops when it finds the attempt already resolved.
-type timeoutAttempt struct {
-	s    *TimeoutStrategy
-	op   *timeoutOp
-	idx  int
-	done bool
-	h    *ServeHandle
-	err  error
-	refs int // pending callbacks: the hop/serve/reply chain plus the timer
-
-	sendFn  func()      // pre-bound a.send: request hop
-	serveFn func(error) // pre-bound a.serve: serve completion
-	replyFn func()      // pre-bound a.reply: response hop
-	timerFn func()      // pre-bound a.timerFire: retry timer
-}
-
-// Name implements Strategy.
-func (s *TimeoutStrategy) Name() string { return "AppTO" }
 
 // Get implements Strategy.
 func (s *TimeoutStrategy) Get(key int64, onDone func(GetResult)) {
-	var op *timeoutOp
-	p := s.C.pools
-	if n := len(p.timeoutOps); n > 0 {
-		op = p.timeoutOps[n-1]
-		p.timeoutOps = p.timeoutOps[:n-1]
-	} else {
-		op = &timeoutOp{}
-	}
-	op.s = s // pooled across fleets: rebind the owner
-	op.key = key
-	op.start = s.C.Eng.Now()
-	op.onDone = onDone
-	op.replicas = s.C.ReplicasInto(key, op.replicas)
-	op.attempt(0)
+	s.try(s.C.acquire(s, key, onDone, &s.WastedIOs), 0)
 }
 
-func (op *timeoutOp) attempt(i int) {
-	s := op.s
-	var a *timeoutAttempt
-	p := s.C.pools
-	if n := len(p.timeoutAtts); n > 0 {
-		a = p.timeoutAtts[n-1]
-		p.timeoutAtts = p.timeoutAtts[:n-1]
-	} else {
-		a = &timeoutAttempt{}
-		a.sendFn = a.send
-		a.serveFn = a.serve
-		a.replyFn = a.reply
-		a.timerFn = a.timerFire
+func (s *TimeoutStrategy) try(o *op, i int) {
+	to := s.TO
+	if i == len(o.replicas)-1 {
+		to = noTimer
 	}
-	a.s = s // pooled across fleets: rebind the owner
-	a.op, a.idx = op, i
-	op.refs++
-	if i < len(op.replicas)-1 {
-		a.refs = 2 // the callback chain plus the retry timer
-		s.C.Eng.After(s.TO, a.timerFn)
-	} else {
-		a.refs = 1 // final try: the timeout is disabled (§7.2)
-	}
-	s.C.Net.Send(a.sendFn)
+	o.send(o.replicas[i], 0, to).revocable = true
 }
 
-func (op *timeoutOp) deref() {
-	op.refs--
-	if op.refs > 0 {
-		return
-	}
-	s := op.s
-	op.onDone = nil
-	s.C.pools.timeoutOps = append(s.C.pools.timeoutOps, op)
-}
-
-func (a *timeoutAttempt) deref() {
-	a.refs--
-	if a.refs > 0 {
-		return
-	}
-	s, op := a.s, a.op
-	a.op, a.h, a.err = nil, nil, nil
-	a.done = false
-	s.C.pools.timeoutAtts = append(s.C.pools.timeoutAtts, a)
-	op.deref()
-}
-
-// send is the request hop landing at the replica.
-func (a *timeoutAttempt) send() {
-	if a.done {
-		// Timed out before the request hop even landed: nothing was served.
-		a.deref()
-		return
-	}
-	op := a.op
-	a.h = a.s.C.Nodes[op.replicas[a.idx]].ServeGetCancelable(op.key, 0, a.serveFn)
-}
-
-func (a *timeoutAttempt) serve(err error) {
-	if errors.Is(err, ErrRevoked) {
-		// The revocation dropped the IO before it ran: the abandoned
-		// attempt resolves silently — no reply hop, no wasted IO. A
-		// mid-run revocation already Cancel+Done'd the handle in timerFire;
-		// the handle is still held only when the teardown harvest revokes a
-		// stranded attempt, and must go back to the pool with it.
-		if a.h != nil {
-			a.h.Done()
-			a.h = nil
-		}
-		a.deref()
-		return
-	}
-	a.err = err
-	a.s.C.Net.Send(a.replyFn)
-}
-
-// reply is the response hop landing back at the client.
-func (a *timeoutAttempt) reply() {
-	s, op, err := a.s, a.op, a.err
-	if a.done {
-		if wasted(err) {
-			s.WastedIOs++ // revoked too late: the IO ran
-		}
-		a.deref()
-		return
-	}
-	a.done = true
-	if a.h != nil {
-		a.h.Done()
-		a.h = nil
-	}
-	if errors.Is(err, ErrNodeDown) && a.idx < len(op.replicas)-1 {
-		// Crashed replica: its refusal came back in one RTT; retry now
-		// rather than waiting out TO.
-		s.Retries++
-		op.attempt(a.idx + 1)
-		a.deref()
-		return
-	}
-	res := GetResult{Latency: s.C.Eng.Now().Sub(op.start), Tries: a.idx + 1, Err: err}
-	onDone := op.onDone
-	a.deref()
-	onDone(res)
-}
-
-func (a *timeoutAttempt) timerFire() {
-	s, op := a.s, a.op
+// fire abandons a timed-out attempt and revokes its IO, so the stale IO
+// does not compete with later attempts for the device.
+func (s *TimeoutStrategy) fire(o *op, a *attempt) {
 	if !a.done {
 		a.done = true
 		s.Retries++
-		// Abandon the attempt AND revoke its IO, so the stale IO does not
-		// compete with every later attempt for the device.
 		if a.h != nil {
 			a.h.Cancel()
-			a.h.Done()
-			a.h = nil
 		}
-		op.attempt(a.idx + 1)
+		a.release()
+		s.try(o, a.ord)
 	}
-	a.deref()
+}
+
+func (s *TimeoutStrategy) reply(o *op, a *attempt, err error) {
+	a.done = true
+	a.release()
+	if errors.Is(err, ErrNodeDown) && a.ord < len(o.replicas) {
+		s.Retries++
+		s.try(o, a.ord)
+		return
+	}
+	o.deliver(a.ord, err)
 }
 
 // CloneStrategy duplicates every request to two random replicas and takes
@@ -288,298 +115,111 @@ type CloneStrategy struct {
 	C   *Cluster
 	RNG *sim.RNG
 
-	// WastedIOs counts losing copies whose IO the cluster executed anyway.
-	WastedIOs uint64
-
-	live []int // selection scratch, reused across gets
+	WastedIOs uint64 // losing copies whose IO ran anyway
 }
-
-// cloneOp is the pooled per-get context: both copies share one reply
-// callback; refs keeps the op alive until the losing copy's late reply has
-// been counted.
-type cloneOp struct {
-	s        *CloneStrategy
-	start    sim.Time
-	onDone   func(GetResult)
-	won      bool
-	pending  int
-	tries    int
-	refs     int
-	replyFn  func(error) // pre-bound op.reply
-	replicas []int
-}
-
-// Name implements Strategy.
-func (s *CloneStrategy) Name() string { return "Clone" }
 
 // Get implements Strategy.
 func (s *CloneStrategy) Get(key int64, onDone func(GetResult)) {
-	var op *cloneOp
-	p := s.C.pools
-	if n := len(p.cloneOps); n > 0 {
-		op = p.cloneOps[n-1]
-		p.cloneOps = p.cloneOps[:n-1]
-	} else {
-		op = &cloneOp{}
-		op.replyFn = op.reply
+	o := s.C.acquire(s, key, onDone, &s.WastedIOs)
+	first, second := o.livePair(s.RNG)
+	o.send(first, 0, noTimer)
+	if second >= 0 {
+		o.send(second, 0, noTimer)
 	}
-	op.s = s // pooled across fleets: rebind the owner
-	op.start = s.C.Eng.Now()
-	op.onDone = onDone
-	op.replicas = s.C.ReplicasInto(key, op.replicas)
-	// Select among live replicas only; cloning to a crashed node would
-	// just burn an RTT on a refusal. With every node up this filter is
-	// the identity and the random draws are unchanged.
-	s.live = s.live[:0]
-	for _, r := range op.replicas {
-		if !s.C.Nodes[r].Down() {
-			s.live = append(s.live, r)
-		}
-	}
-	if len(s.live) == 0 {
-		// Whole replica set down: fail fast via the primary's refusal.
-		op.tries, op.pending, op.refs = 1, 1, 1
-		replicaCall(s.C, op.replicas[0], key, 0, op.replyFn)
-		return
-	}
-	if len(s.live) == 1 {
-		// One survivor: a clone pair is impossible (the old code's
-		// RNG.Intn(0) panic); send a single copy.
-		op.tries, op.pending, op.refs = 1, 1, 1
-		replicaCall(s.C, s.live[0], key, 0, op.replyFn)
-		return
-	}
-	// Two distinct random replicas out of the live choices.
-	i := s.RNG.Intn(len(s.live))
-	j := s.RNG.Intn(len(s.live) - 1)
-	if j >= i {
-		j++
-	}
-	op.tries, op.pending, op.refs = 2, 2, 2
-	replicaCall(s.C, s.live[i], key, 0, op.replyFn)
-	replicaCall(s.C, s.live[j], key, 0, op.replyFn)
 }
 
-func (op *cloneOp) deref() {
-	op.refs--
-	if op.refs > 0 {
-		return
-	}
-	s := op.s
-	op.onDone = nil
-	op.won = false
-	s.C.pools.cloneOps = append(s.C.pools.cloneOps, op)
-}
-
-func (op *cloneOp) reply(err error) {
-	s := op.s
-	if op.won {
-		if wasted(err) {
-			s.WastedIOs++ // the losing copy's IO ran to completion
-		}
-		op.deref()
-		return
-	}
-	op.pending--
-	if errors.Is(err, ErrNodeDown) && op.pending > 0 {
-		op.deref()
+func (s *CloneStrategy) reply(o *op, a *attempt, err error) {
+	if errors.Is(err, ErrNodeDown) && o.pending > 0 {
 		return // that node crashed mid-flight; the sibling decides
 	}
-	op.won = true
-	res := GetResult{Latency: s.C.Eng.Now().Sub(op.start), Tries: op.tries, Err: err}
-	onDone := op.onDone
-	op.deref()
-	onDone(res)
+	o.deliver(o.sent, err)
 }
 
 // HedgedStrategy sends a secondary request only after the first has been
-// outstanding longer than the expected p95 latency (Dean & Barroso;
-// §7.2). Neither request is cancelled; the loser's IO is wasted work
-// (WastedIOs). A primary that refuses because it crashed fails over to the
-// secondary immediately instead of waiting out the hedge delay.
+// outstanding longer than the expected p95 latency (Dean & Barroso; §7.2).
+// Neither is cancelled, so the loser's IO is wasted work. A crashed
+// primary's refusal fails over to the secondary without waiting.
 type HedgedStrategy struct {
 	C          *Cluster
 	HedgeAfter time.Duration
 
-	Hedges uint64
-	// WastedIOs counts losing copies whose IO the cluster executed anyway.
-	WastedIOs uint64
+	Hedges    uint64
+	WastedIOs uint64 // losing copies whose IO ran anyway
 }
-
-// hedgedOp is the pooled per-get context. The hedge timer is an
-// engine-owned recycled event that cannot be cancelled; it holds a
-// reference and stays quiet when it finds the get already hedged or won.
-type hedgedOp struct {
-	s        *HedgedStrategy
-	key      int64
-	start    sim.Time
-	onDone   func(GetResult)
-	won      bool
-	sent     int // copies issued so far; the winner reports this as Tries
-	pending  int // copies still awaiting a reply
-	refs     int
-	replyFn  func(error) // pre-bound op.reply
-	timerFn  func()      // pre-bound op.timerFire
-	replicas []int
-}
-
-// Name implements Strategy.
-func (s *HedgedStrategy) Name() string { return "Hedged" }
 
 // Get implements Strategy.
 func (s *HedgedStrategy) Get(key int64, onDone func(GetResult)) {
-	var op *hedgedOp
-	p := s.C.pools
-	if n := len(p.hedgedOps); n > 0 {
-		op = p.hedgedOps[n-1]
-		p.hedgedOps = p.hedgedOps[:n-1]
-	} else {
-		op = &hedgedOp{}
-		op.replyFn = op.reply
-		op.timerFn = op.timerFire
-	}
-	op.s = s // pooled across fleets: rebind the owner
-	op.key = key
-	op.start = s.C.Eng.Now()
-	op.onDone = onDone
-	op.sent, op.pending = 1, 1
-	op.refs = 2 // the primary's reply plus the hedge timer
-	op.replicas = s.C.ReplicasInto(key, op.replicas)
-	s.C.Eng.After(s.HedgeAfter, op.timerFn)
-	replicaCall(s.C, op.replicas[0], key, 0, op.replyFn)
+	o := s.C.acquire(s, key, onDone, &s.WastedIOs)
+	o.send(o.replicas[0], 0, s.HedgeAfter)
 }
 
-func (op *hedgedOp) hedge() {
-	op.sent = 2
-	op.pending++
-	op.refs++
-	replicaCall(op.s.C, op.replicas[1], op.key, 0, op.replyFn)
-}
-
-func (op *hedgedOp) timerFire() {
-	s := op.s
-	if !op.won && op.sent == 1 {
+func (s *HedgedStrategy) fire(o *op, _ *attempt) {
+	if !o.won && o.sent == 1 {
 		s.Hedges++
-		op.hedge()
+		o.send(o.replicas[1], 0, noTimer)
 	}
-	op.deref()
 }
 
-func (op *hedgedOp) deref() {
-	op.refs--
-	if op.refs > 0 {
+func (s *HedgedStrategy) reply(o *op, a *attempt, err error) {
+	down := errors.Is(err, ErrNodeDown)
+	if down && o.sent == 1 {
+		o.send(o.replicas[1], 0, noTimer) // the timer then stays quiet
 		return
 	}
-	s := op.s
-	op.onDone = nil
-	op.won = false
-	s.C.pools.hedgedOps = append(s.C.pools.hedgedOps, op)
+	if down && o.pending > 0 {
+		return // the other copy may still answer
+	}
+	// Tries counts every copy issued, even when the primary wins.
+	o.deliver(o.sent, err)
 }
 
-func (op *hedgedOp) reply(err error) {
-	s := op.s
-	if op.won {
-		if wasted(err) {
-			s.WastedIOs++ // the losing copy's IO ran to completion
-		}
-		op.deref()
-		return
+// ewma folds latency sample x into m[n] with weight 0.3 (Snitch and C3);
+// the first sample seeds it.
+func ewma(m map[int]float64, n int, x float64) {
+	prev, seen := m[n]
+	if !seen {
+		prev = x
 	}
-	op.pending--
-	if errors.Is(err, ErrNodeDown) {
-		if op.sent == 1 {
-			// Primary crashed: don't wait out HedgeAfter, go to the
-			// secondary now. The timer finds sent == 2 and stays quiet, so
-			// no third copy ever goes out.
-			op.hedge()
-			op.deref()
-			return
-		}
-		if op.pending > 0 {
-			op.deref()
-			return // the other copy may still answer
-		}
-	}
-	op.won = true
-	// A primary that completes after the hedge fired must not report
-	// Tries: 1, hiding the duplicated IO from the per-try accounting. The
-	// winner reports how many copies were issued.
-	res := GetResult{Latency: s.C.Eng.Now().Sub(op.start), Tries: op.sent, Err: err}
-	onDone := op.onDone
-	op.deref()
-	onDone(res)
+	m[n] = prev*(1-0.3) + x*0.3
 }
 
 // SnitchStrategy keeps an EWMA of each replica's recent latency and always
 // asks the currently-fastest one — Cassandra's dynamic snitch (§7.8.3).
 type SnitchStrategy struct {
 	C *Cluster
-	// Alpha is the EWMA weight of new samples.
-	Alpha float64
 
-	ewma     map[int]float64
-	replicas []int // scratch, reused across gets
+	ewma map[int]float64
 }
 
-// Name implements Strategy.
-func (s *SnitchStrategy) Name() string { return "Snitch" }
-
-// Get implements Strategy.
+// Get implements Strategy; unknown replicas score 0 and are explored first.
 func (s *SnitchStrategy) Get(key int64, onDone func(GetResult)) {
 	if s.ewma == nil {
 		s.ewma = make(map[int]float64)
 	}
-	if s.Alpha <= 0 {
-		s.Alpha = 0.3
-	}
-	start := s.C.Eng.Now()
-	s.replicas = s.C.ReplicasInto(key, s.replicas)
-	best := s.replicas[0]
-	bestScore := math.MaxFloat64
-	for _, r := range s.replicas {
-		if s.C.Nodes[r].Down() {
-			continue // a crashed replica's fast refusals would look "fast"
-		}
-		score, seen := s.ewma[r]
-		if !seen {
-			score = 0 // explore unknown replicas first
-		}
-		if score < bestScore {
-			best, bestScore = r, score
-		}
-	}
-	replicaCall(s.C, best, key, 0, func(err error) {
-		lat := s.C.Eng.Now().Sub(start)
-		prev, seen := s.ewma[best]
-		if !seen {
-			prev = float64(lat)
-		}
-		s.ewma[best] = prev*(1-s.Alpha) + float64(lat)*s.Alpha
-		onDone(GetResult{Latency: lat, Tries: 1, Err: err})
-	})
+	o := s.C.acquire(s, key, onDone, nil)
+	o.send(o.bestLive(func(r int) float64 { return s.ewma[r] }), 0, noTimer)
 }
+
+func (s *SnitchStrategy) reply(o *op, a *attempt, err error) {
+	ewma(s.ewma, a.node, float64(s.C.Eng.Now().Sub(o.start)))
+	o.deliver(1, err)
+}
+
+// c3Decay ages C3's server-reported queue feedback (its rate control).
+const c3Decay = 2 * time.Second
 
 // C3Strategy implements C3's replica ranking (Suresh et al., NSDI'15): an
-// EWMA of response latencies plus a cubic penalty on the server-reported
-// queue size, both piggybacked on responses. That feedback loop is exactly
-// why the paper finds C3 helpless against sub-second burstiness (§7.8.3):
-// the queue-size estimate a client holds is as old as the last response it
-// received from that replica, so a burst that arrives and leaves within a
-// second is never observed in time.
+// EWMA of latencies plus a cubic penalty on the queue size piggybacked on
+// responses. That feedback is why C3 misses sub-second bursts (§7.8.3): a
+// replica's estimate is as old as its last response.
 type C3Strategy struct {
-	C     *Cluster
-	Alpha float64
+	C *Cluster
 
-	lat      map[int]float64  // EWMA response latency per replica
-	qEst     map[int]float64  // server-reported queue size (stale feedback)
-	qAt      map[int]sim.Time // when that feedback was received
-	out      map[int]int      // client-local concurrency compensation
-	decay    time.Duration    // feedback aging constant (C3's rate control)
-	replicas []int            // scratch, reused across gets
+	lat  map[int]float64  // EWMA response latency per replica
+	qEst map[int]float64  // server-reported queue size (stale feedback)
+	qAt  map[int]sim.Time // when that feedback was received
+	out  map[int]int      // client-local concurrency compensation
 }
-
-// Name implements Strategy.
-func (s *C3Strategy) Name() string { return "C3" }
 
 // Get implements Strategy.
 func (s *C3Strategy) Get(key int64, onDone func(GetResult)) {
@@ -589,199 +229,194 @@ func (s *C3Strategy) Get(key int64, onDone func(GetResult)) {
 		s.qAt = make(map[int]sim.Time)
 		s.out = make(map[int]int)
 	}
-	if s.Alpha <= 0 {
-		s.Alpha = 0.3
-	}
-	if s.decay <= 0 {
-		s.decay = 2 * time.Second
-	}
-	start := s.C.Eng.Now()
-	s.replicas = s.C.ReplicasInto(key, s.replicas)
-	best := s.replicas[0]
-	bestScore := math.MaxFloat64
-	for _, r := range s.replicas {
-		if s.C.Nodes[r].Down() {
-			continue // crashed replicas drop out of the ranking
-		}
-		l := s.lat[r]
-		// C3's concurrency-compensated queue estimate: the stale
-		// server-reported depth (aged — C3's rate control lets shunned
-		// replicas be retried after a while) plus our own outstanding.
-		age := float64(start.Sub(s.qAt[r])) / float64(s.decay)
-		stale := s.qEst[r] / (1 + age)
-		q := stale + float64(s.out[r]) + 1
-		score := l * q * q * q // the cubic queue penalty
-		if score < bestScore {
-			best, bestScore = r, score
-		}
-	}
-	s.out[best]++
-	node := s.C.Nodes[best]
-	s.C.Net.Send(func() {
-		node.ServeGet(key, 0, func(err error) {
-			// The response piggybacks the server's queue depth *now* —
-			// by the time the client reads it, it is one hop stale, and
-			// it only refreshes when this replica is asked again.
-			reported := float64(node.OutstandingIOs())
-			s.C.Net.Send(func() {
-				s.out[best]--
-				s.qEst[best] = reported
-				s.qAt[best] = s.C.Eng.Now()
-				lat := s.C.Eng.Now().Sub(start)
-				prev, seen := s.lat[best]
-				if !seen {
-					prev = float64(lat)
-				}
-				s.lat[best] = prev*(1-s.Alpha) + float64(lat)*s.Alpha
-				onDone(GetResult{Latency: lat, Tries: 1, Err: err})
-			})
-		})
+	o := s.C.acquire(s, key, onDone, nil)
+	o.probe = true
+	best := o.bestLive(func(r int) float64 {
+		// Stale reported depth, aged, plus our own outstanding requests.
+		age := float64(o.start.Sub(s.qAt[r])) / float64(c3Decay)
+		q := s.qEst[r]/(1+age) + float64(s.out[r]) + 1
+		return s.lat[r] * q * q * q
 	})
+	s.out[best]++
+	o.send(best, 0, noTimer)
+}
+
+// reply takes in the piggybacked queue depth, one hop stale by now.
+func (s *C3Strategy) reply(o *op, a *attempt, err error) {
+	n, now := a.node, s.C.Eng.Now()
+	s.out[n]--
+	s.qEst[n] = float64(a.queue)
+	s.qAt[n] = now
+	ewma(s.lat, n, float64(now.Sub(o.start)))
+	o.deliver(1, err)
 }
 
 // MittOSStrategy is the paper's contribution at the client: send with the
-// deadline SLO, failover instantly on EBUSY — or on a crashed replica's
-// refusal, which is just as fast — and disable the deadline on the final
-// try so the user never sees an error (§5). With UseWaitHint the
-// §7.8.1/§8.1 extension kicks in: when every replica rejected, the 4th try
-// targets the one that predicted the shortest wait.
+// deadline SLO, fail over instantly on EBUSY or a crashed replica's refusal,
+// and disable the deadline on the final try so the user never sees an error
+// (§5). With UseWaitHint (§7.8.1/§8.1), when every replica rejected, a 4th
+// try goes to the one that predicted the shortest wait.
 type MittOSStrategy struct {
 	C        *Cluster
 	Deadline time.Duration
 	// UseWaitHint enables the least-busy 4th retry extension.
 	UseWaitHint bool
-	// RetryOverhead models the application's failover path cost. The
-	// paper's exceptionless path makes this ~0; C++ exception unwinding
-	// would add 200µs (§5) — kept as an ablation knob.
-	RetryOverhead time.Duration
 
 	Failovers uint64
 	LastDitch uint64
 }
 
-// mittOp is the pooled per-get context: attempts are strictly sequential
-// (at most one replica call outstanding), so one context with pre-bound
-// callbacks and per-op replica/wait scratch covers the whole failover chain.
-type mittOp struct {
-	s        *MittOSStrategy
-	key      int64
-	start    sim.Time
-	onDone   func(GetResult)
-	idx      int
-	err      error       // the refusal carried across a RetryOverhead delay
-	replyFn  func(error) // pre-bound op.reply
-	lastFn   func(error) // pre-bound op.lastDitchReply
-	nextFn   func()      // pre-bound op.next: post-refusal failover step
-	replicas []int
-	waits    []time.Duration
-}
-
-// Name implements Strategy.
-func (s *MittOSStrategy) Name() string { return "MittOS" }
-
 // Get implements Strategy.
 func (s *MittOSStrategy) Get(key int64, onDone func(GetResult)) {
-	var op *mittOp
-	p := s.C.pools
-	if n := len(p.mittOps); n > 0 {
-		op = p.mittOps[n-1]
-		p.mittOps = p.mittOps[:n-1]
-	} else {
-		op = &mittOp{}
-		op.replyFn = op.reply
-		op.lastFn = op.lastDitchReply
-		op.nextFn = op.next
-	}
-	op.s = s // pooled across fleets: rebind the owner
-	op.key = key
-	op.start = s.C.Eng.Now()
-	op.onDone = onDone
-	op.idx = 0
-	op.replicas = s.C.ReplicasInto(key, op.replicas)
-	op.waits = op.waits[:0]
-	for range op.replicas {
-		op.waits = append(op.waits, 0)
-	}
-	op.attempt()
+	s.C.acquire(s, key, onDone, nil).try(s.Deadline, !s.UseWaitHint)
 }
 
-func (op *mittOp) attempt() {
-	s := op.s
-	deadline := s.Deadline
-	if op.idx == len(op.replicas)-1 && !s.UseWaitHint {
-		deadline = 0 // 3rd try disables the deadline (§5)
-	}
-	replicaCall(s.C, op.replicas[op.idx], op.key, deadline, op.replyFn)
-}
-
-func (op *mittOp) reply(err error) {
-	s := op.s
+func (s *MittOSStrategy) reply(o *op, a *attempt, err error) {
 	down := errors.Is(err, ErrNodeDown)
-	if core.IsBusy(err) || down {
-		if be, ok := err.(*core.BusyError); ok {
-			op.waits[op.idx] = be.PredictedWait
-		} else if down {
-			// A crashed replica is "busy forever": never the least-busy
-			// pick below.
-			op.waits[op.idx] = time.Duration(math.MaxInt64)
+	if a.extra || !(down || core.IsBusy(err)) {
+		o.deliver(a.ord, err)
+		return
+	}
+	wait := busyWait(err)
+	if down {
+		wait = math.MaxInt64 // "busy forever": never the least-busy pick
+	}
+	o.rejects = append(o.rejects, reject{a.node, wait})
+	s.Failovers++
+	switch {
+	case o.idx < len(o.replicas)-1:
+		o.idx++
+		o.try(s.Deadline, !s.UseWaitHint)
+	case down && !s.UseWaitHint:
+		o.deliver(a.ord, err) // the deadline-free final try crashed
+	default:
+		s.LastDitch++ // all refused: retry the least busy live one, deadline-free
+		best := -1
+		for j, r := range o.rejects {
+			if !s.C.Nodes[r.node].Down() && (best < 0 || r.wait < o.rejects[best].wait) {
+				best = j
+			}
 		}
-		s.Failovers++
-		op.err = err
-		if s.RetryOverhead > 0 {
-			s.C.Eng.After(s.RetryOverhead, op.nextFn)
+		if best < 0 {
+			o.deliver(len(o.replicas), err) // the whole replica set is down
 			return
 		}
-		op.next()
-		return
+		o.send(o.rejects[best].node, 0, noTimer).extra = true
 	}
-	op.deliver(op.idx+1, err)
 }
 
-// next is the failover step after a refusal (EBUSY or node-down), possibly
-// delayed by RetryOverhead.
-func (op *mittOp) next() {
-	s := op.s
-	if op.idx < len(op.replicas)-1 {
-		op.idx++
-		op.attempt()
+// TiedStrategy approximates Dean & Barroso's "tied requests": two copies a
+// small delay apart, the first to begin execution cancelling its sibling.
+// The paper could not evaluate it (§7.8.2): a stock kernel has no "begin
+// execution" signal, and neither do device-resident IOs here. So, as an
+// application-level port would, the *winner's completion* cancels the
+// sibling, which helps only while the sibling is still queued.
+type TiedStrategy struct {
+	C *Cluster
+	// Delay before the tied copy; 0 means Dean & Barroso's 2× the hop.
+	Delay time.Duration
+	RNG   *sim.RNG
+
+	Cancelled uint64
+	WastedIOs uint64 // losing copies already on the device: run, then discarded
+}
+
+// Get implements Strategy: the tied copy (o.idx) follows after Delay
+// unless the get is won; with under two live replicas one plain copy goes.
+func (s *TiedStrategy) Get(key int64, onDone func(GetResult)) {
+	o := s.C.acquire(s, key, onDone, &s.WastedIOs)
+	first, second := o.livePair(s.RNG)
+	o.idx = second
+	a := o.send(first, 0, noTimer)
+	if second < 0 {
 		return
 	}
-	err := op.err
-	if errors.Is(err, ErrNodeDown) && !s.UseWaitHint {
-		// The deadline was already disabled on this final try; a crash
-		// leaves nothing to fail over to.
-		op.deliver(op.idx+1, err)
-		return
+	a.revocable = true
+	delay := s.Delay
+	if delay <= 0 {
+		delay = 2 * s.C.Net.Config().HopLatency
 	}
-	// All replicas rejected under the wait-hint extension: go to the
-	// least busy one with the deadline disabled, skipping crashed nodes.
-	s.LastDitch++
-	best := -1
-	for j := range op.waits {
-		if s.C.Nodes[op.replicas[j]].Down() {
-			continue
+	o.arm(a, delay)
+}
+
+// fire is the delay timer or, with a == nil, the winner's cancel message
+// reaching the sibling's replica: revoke whatever is still queued.
+func (s *TiedStrategy) fire(o *op, a *attempt) {
+	if a != nil {
+		if !o.won {
+			o.send(o.idx, 0, noTimer).revocable = true
 		}
-		if best < 0 || op.waits[j] < op.waits[best] {
-			best = j
-		}
-	}
-	if best < 0 {
-		// The whole replica set is down.
-		op.deliver(len(op.replicas), err)
 		return
 	}
-	replicaCall(s.C, op.replicas[best], op.key, 0, op.lastFn)
+	for _, b := range o.attempts {
+		if b.h != nil {
+			b.h.Cancel()
+			b.release()
+			s.Cancelled++
+		}
+	}
 }
 
-func (op *mittOp) lastDitchReply(err error) {
-	op.deliver(len(op.replicas)+1, err)
+func (s *TiedStrategy) reply(o *op, a *attempt, err error) {
+	if errors.Is(err, ErrNodeDown) && o.idx >= 0 && (o.pending > 0 || a.ord == 1) {
+		return // a crashed node; the sibling, out or still to be sent, decides
+	}
+	a.release()
+	if o.idx >= 0 {
+		for _, b := range o.attempts {
+			b.done = true // a sibling still in flight is not served
+		}
+		o.message()
+	}
+	o.deliver(a.ord, err)
 }
 
-func (op *mittOp) deliver(tries int, err error) {
-	s := op.s
-	res := GetResult{Latency: s.C.Eng.Now().Sub(op.start), Tries: tries, Err: err}
-	onDone := op.onDone
-	op.onDone, op.err = nil, nil
-	s.C.pools.mittOps = append(s.C.pools.mittOps, op)
-	onDone(res)
+// ConsistentMittOSStrategy is §8.3's conservative MittOS: "do not failover
+// until the other replicas are no longer stale". The client keeps the
+// highest version it has read per key (a session token). On EBUSY or a
+// crashed replica's refusal it fails over only to replicas at least that
+// fresh; if none is, it waits out the busy replica rather than break
+// monotonic reads, and fails the get when that replica is down.
+type ConsistentMittOSStrategy struct {
+	C        *Cluster
+	Deadline time.Duration
+	session  map[int64]uint64 // the highest version read per key
+
+	Failovers    uint64
+	StaleSkips   uint64 // replicas skipped for staleness
+	ForcedToWait uint64 // requests that had to wait on the busy replica
+}
+
+// Get implements Strategy.
+func (s *ConsistentMittOSStrategy) Get(key int64, onDone func(GetResult)) {
+	if s.session == nil {
+		s.session = make(map[int64]uint64)
+	}
+	o := s.C.acquire(s, key, onDone, nil)
+	o.minVer = s.session[key]
+	o.try(s.Deadline, true)
+}
+
+func (s *ConsistentMittOSStrategy) reply(o *op, a *attempt, err error) {
+	down := errors.Is(err, ErrNodeDown)
+	if !a.extra && (down || core.IsBusy(err)) {
+		s.Failovers++
+		for j := o.idx + 1; j < len(o.replicas); j++ {
+			if s.C.Nodes[o.replicas[j]].KeyVersion(o.key) >= o.minVer {
+				o.idx = j
+				o.try(s.Deadline, true)
+				return
+			}
+			s.StaleSkips++
+		}
+		if !down {
+			s.ForcedToWait++
+			o.send(a.node, 0, noTimer).extra = true
+			return
+		}
+	}
+	if v := s.C.Nodes[a.node].KeyVersion(o.key); v > s.session[o.key] {
+		s.session[o.key] = v // advance the session to what was just read
+	}
+	o.deliver(a.ord, err)
 }
