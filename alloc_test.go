@@ -185,6 +185,40 @@ func TestAllocBudgets(t *testing.T) {
 			t.Fatalf("accepted durable put allocates %.1f objects per op; budget is 0", avg)
 		}
 	})
+	t.Run("KVPreload", func(t *testing.T) {
+		// Leg set-up preloads every node's store: the base run records the
+		// range [0, n) and keeps no per-key index, so its allocations do not
+		// grow with n.
+		eng := NewEngine()
+		var ids blockio.IDGen
+		preload := func(n int64) float64 {
+			stores := make([]*kv.Store, 0, 101)
+			for i := 0; i < cap(stores); i++ {
+				stores = append(stores, kv.New(eng, kv.DefaultConfig(0, 100<<30), nil, &ids))
+			}
+			return testing.AllocsPerRun(100, func() {
+				stores[0].Preload(n)
+				stores = stores[1:]
+			})
+		}
+		one, big := preload(1), preload(100_000)
+		if big != one || big > 2 {
+			t.Fatalf("Preload(100000) allocates %.1f objects, Preload(1) %.1f; budget is the same constant, at most 2", big, one)
+		}
+	})
+	t.Run("ZipfMemoized", func(t *testing.T) {
+		// Every YCSB client of every leg builds a sampler over the same key
+		// space; once ζ(n, θ) is memoized, building one allocates only the
+		// sampler itself.
+		g := sim.NewRNG(9, "alloc-zipf")
+		_ = sim.NewZipf(g, 100_000, 0.99)
+		avg := testing.AllocsPerRun(100, func() {
+			_ = sim.NewZipf(g, 100_000, 0.99)
+		})
+		if avg != 1 {
+			t.Fatalf("memoized NewZipf allocates %.1f objects; budget is 1 (the *Zipf)", avg)
+		}
+	})
 	t.Run("PoissonTick", func(t *testing.T) {
 		// The open-loop Poisson issue path: exponential gap draw, tick,
 		// pooled user-request context, synchronous completion, recycling.

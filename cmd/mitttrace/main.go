@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"time"
 
@@ -19,6 +20,20 @@ import (
 	"mittos/internal/stats"
 	"mittos/internal/trace"
 )
+
+// checkFlags rejects flag values mitttrace cannot honour, before any trace
+// is generated.
+func checkFlags(dur, busiest time.Duration, rerate float64) error {
+	switch {
+	case dur <= 0:
+		return fmt.Errorf("-dur %v: want a positive length", dur)
+	case busiest < 0:
+		return fmt.Errorf("-busiest %v: want 0 (whole trace) or a positive window", busiest)
+	case !(rerate > 0) || math.IsInf(rerate, 1):
+		return fmt.Errorf("-rerate %v: want a finite factor above 0", rerate)
+	}
+	return nil
+}
 
 func main() {
 	var (
@@ -29,6 +44,10 @@ func main() {
 		seed    = flag.Int64("seed", 1, "generator seed")
 	)
 	flag.Parse()
+	if err := checkFlags(*dur, *busiest, *rerate); err != nil {
+		fmt.Fprintln(os.Stderr, "mitttrace:", err)
+		os.Exit(2)
+	}
 
 	profiles := trace.Profiles(500 << 30)
 	if *name != "" {

@@ -11,7 +11,7 @@ package kv
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"mittos/internal/blockio"
@@ -75,28 +75,46 @@ func DefaultConfig(base, size int64) Config {
 	}
 }
 
-// run is one immutable sorted table: an in-memory index from key to block
-// slot within the run's device extent. stride is the slot spacing: flushed
-// runs pack blocks contiguously (stride == block size), while the preloaded
-// base run spreads them across the whole region the way a long-lived,
-// fragmented database does — giving random gets realistic seek distances.
+// run is one immutable sorted table over n keys laid out in block slots
+// within the run's device extent. Its index is the keys themselves, sorted:
+// key keys[i] lives in slot i. The preloaded base run, and any compaction
+// whose merged keys are exactly [0, n), store no keys at all: a key's slot
+// is the key. stride is the slot spacing: flushed runs pack blocks
+// contiguously (stride == block size), while the preloaded base run spreads
+// them across the whole region the way a long-lived, fragmented database
+// does — giving random gets realistic seek distances.
 type run struct {
 	base   int64
 	stride int64
-	index  map[int64]int32
+	n      int64
+	keys   []int64 // nil when the run holds exactly [0, n)
 }
 
 func (r *run) offsetOf(key int64, blockSize int) (int64, bool) {
-	slot, ok := r.index[key]
-	if !ok {
-		return 0, false
+	slot := key
+	if r.keys == nil {
+		if key < 0 || key >= r.n {
+			return 0, false
+		}
+	} else {
+		i, ok := slices.BinarySearch(r.keys, key)
+		if !ok {
+			return 0, false
+		}
+		slot = int64(i)
 	}
 	stride := r.stride
 	if stride < int64(blockSize) {
 		stride = int64(blockSize)
 	}
-	return r.base + int64(slot)*stride, true
+	return r.base + slot*stride, true
 }
+
+// inMemtable is the top bit of a key's entry in Store.keys: set while the
+// key has been written locally since the last flush. The other bits hold
+// the key's version — its write count, the replication timestamp
+// consistency-aware failover compares (§8.3) — which stays far below 2^63.
+const inMemtable = 1 << 63
 
 // Store is the engine.
 type Store struct {
@@ -106,10 +124,16 @@ type Store struct {
 	mcache *core.MittCache // non-nil in mmap mode
 	ids    *blockio.IDGen
 
-	memtable map[int64]bool
-	runs     []*run // newest first
-	alloc    int64  // bump allocator within the region
-	walPos   int64
+	// keys maps every key written or replicated here to its version, with
+	// the inMemtable bit. Keys absent from the map are at their preloaded
+	// base version 0 and not in the memtable. memKeys lists the memtable's
+	// keys in first-write order; flush sorts it into the new run and reuses
+	// it.
+	keys    map[int64]uint64
+	memKeys []int64
+	runs    []*run // newest first
+	alloc   int64  // bump allocator within the region
+	walPos  int64
 
 	// Per-IO pools: requests, fire-and-forget write completions, and
 	// memory-latency completions. Steady-state operation recycles these
@@ -117,10 +141,6 @@ type Store struct {
 	reqs    *blockio.Pool
 	bgFree  []*bgWrite
 	memFree []*memOp
-	// versions tracks each key's write count — the replication timestamp
-	// consistency-aware failover compares (§8.3). Keys absent from the
-	// map are at their preloaded base version 0.
-	versions map[int64]uint64
 
 	// SLO put path: the group-commit queue of deadline-carrying puts
 	// awaiting a WAL append, the in-flight-group latch, and the group
@@ -163,10 +183,9 @@ func New(eng *sim.Engine, cfg Config, target core.Target, ids *blockio.IDGen) *S
 	}
 	return &Store{
 		eng: eng, cfg: cfg, target: target, ids: ids,
-		reqs:     reqs,
-		memtable: make(map[int64]bool),
-		versions: make(map[int64]uint64),
-		alloc:    cfg.RegionBase,
+		reqs:  reqs,
+		keys:  make(map[int64]uint64),
+		alloc: cfg.RegionBase,
 	}
 }
 
@@ -226,18 +245,14 @@ func (s *Store) Preload(n int64) {
 	if stride < int64(s.cfg.BlockSize) {
 		stride = int64(s.cfg.BlockSize)
 	}
-	r := &run{base: s.cfg.RegionBase, stride: stride, index: make(map[int64]int32, n)}
-	for k := int64(0); k < n; k++ {
-		r.index[k] = int32(k)
-	}
-	s.runs = append([]*run{r}, s.runs...)
+	s.runs = slices.Insert(s.runs, 0, &run{base: s.cfg.RegionBase, stride: stride, n: n})
 	if s.alloc < s.cfg.RegionBase+stride*n {
 		s.alloc = s.cfg.RegionBase + stride*n
 	}
 }
 
 // Version reports a key's current write count (0 for preloaded-only keys).
-func (s *Store) Version(key int64) uint64 { return s.versions[key] }
+func (s *Store) Version(key int64) uint64 { return s.keys[key] &^ inMemtable }
 
 // ApplyReplicated records that a replicated write at the given version has
 // been applied locally (replication apply is asynchronous in
@@ -245,9 +260,19 @@ func (s *Store) Version(key int64) uint64 { return s.versions[key] }
 // does not carry payload bytes, so only the version metadata moves — reads
 // of the key still exercise the normal storage path.
 func (s *Store) ApplyReplicated(key int64, version uint64) {
-	if version > s.versions[key] {
-		s.versions[key] = version
+	if v := s.keys[key]; version > v&^inMemtable {
+		s.keys[key] = version | v&inMemtable
 	}
+}
+
+// apply records a local write: the key joins the memtable and its version
+// advances. The caller flushes once the memtable is full.
+func (s *Store) apply(key int64) {
+	v := s.keys[key]
+	if v&inMemtable == 0 {
+		s.memKeys = append(s.memKeys, key)
+	}
+	s.keys[key] = (v | inMemtable) + 1
 }
 
 // KeyOffset reports the device offset currently serving a key (tests and
@@ -370,7 +395,7 @@ func (s *Store) allocExtent(size int64) int64 {
 // revoke the IO while it is still queued — the hook tied requests need.
 func (s *Store) Get(key int64, deadline time.Duration, onDone func(error)) *blockio.Request {
 	s.gets++
-	if s.memtable[key] {
+	if s.keys[key]&inMemtable != 0 {
 		s.afterMem(nil, onDone)
 		return nil
 	}
@@ -417,10 +442,9 @@ func (s *Store) Get(key int64, deadline time.Duration, onDone func(error)) *bloc
 // commit) and the memtable flush when it fills.
 func (s *Store) Put(key int64, onDone func(error)) {
 	s.puts++
-	s.memtable[key] = true
-	s.versions[key]++
+	s.apply(key)
 	s.submitBackground(blockio.Write, s.walOffset(), s.cfg.BlockSize, s.cfg.Class, s.cfg.Priority)
-	if len(s.memtable) >= s.cfg.MemtableCap {
+	if len(s.memKeys) >= s.cfg.MemtableCap {
 		s.flush()
 	}
 	s.afterMem(nil, onDone)
@@ -587,9 +611,8 @@ func (g *walGroup) done(err error) {
 		switch {
 		case err == nil:
 			// WAL durable: mutate the memtable and ack at memory latency.
-			s.memtable[m.key] = true
-			s.versions[m.key]++
-			if len(s.memtable) >= s.cfg.MemtableCap {
+			s.apply(m.key)
+			if len(s.memKeys) >= s.cfg.MemtableCap {
 				s.flush()
 			}
 			s.rec.Observe(metrics.RNode, metrics.HPutMemAck, blockio.Write, now.Sub(m.enq))
@@ -644,26 +667,18 @@ func (s *Store) walOffsetN(n int) int64 {
 // in the background at the engine's priority.
 func (s *Store) flush() {
 	s.flushes++
-	n := int64(len(s.memtable))
-	r := &run{
-		base:   s.allocExtent(n * int64(s.cfg.BlockSize)),
-		stride: int64(s.cfg.BlockSize),
-		index:  make(map[int64]int32, n),
-	}
+	n := int64(len(s.memKeys))
+	r := &run{base: s.allocExtent(n * int64(s.cfg.BlockSize)), stride: int64(s.cfg.BlockSize), n: n}
 	// Slot assignment decides each key's device offset, which decides the
-	// seek distance of every future read of that key — it must not depend
-	// on Go's randomized map order. Flush in sorted key order (real LSM
-	// flushes write sorted tables anyway).
-	keys := make([]int64, 0, n)
-	for k := range s.memtable { //mapiter:sorted
-		keys = append(keys, k)
+	// seek distance of every future read of that key, so slots follow
+	// sorted key order (real LSM flushes write sorted tables anyway).
+	slices.Sort(s.memKeys)
+	r.keys = slices.Clone(s.memKeys)
+	for _, k := range s.memKeys {
+		s.keys[k] &^= inMemtable
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for slot, k := range keys {
-		r.index[k] = int32(slot)
-	}
-	s.memtable = make(map[int64]bool)
-	s.runs = append([]*run{r}, s.runs...)
+	s.memKeys = s.memKeys[:0]
+	s.runs = slices.Insert(s.runs, 0, r)
 	// Background sequential writes, fire-and-forget: chunked 256KB IOs.
 	const chunk = 256 << 10
 	bytes := n * int64(s.cfg.BlockSize)
@@ -684,24 +699,36 @@ func (s *Store) flush() {
 // neighbors to themselves.
 func (s *Store) compact() {
 	s.compactions++
-	merged := make(map[int64]int32)
-	for i := len(s.runs) - 1; i >= 0; i-- { // oldest first; newer overwrite
-		for k := range s.runs[i].index { //mapiter:sorted
-			merged[k] = 0
+	// The merged key set is [0, dense) — the union of the runs that store
+	// no keys — plus the extra keys outside it. It is itself such a range
+	// unless an extra key is negative or leaves a gap above dense; only then
+	// are its keys stored. As in flush, slots follow sorted key order.
+	var dense int64
+	for _, r := range s.runs {
+		if r.keys == nil {
+			dense = max(dense, r.n)
 		}
 	}
-	total := int64(len(merged))
-	// As in flush: the merged run's slot layout feeds future seek
-	// distances, so assign slots in sorted key order, never map order.
-	keys := make([]int64, 0, total)
-	for k := range merged { //mapiter:sorted
-		keys = append(keys, k)
+	var extra []int64
+	for _, r := range s.runs {
+		for _, k := range r.keys {
+			if k < 0 || k >= dense {
+				extra = append(extra, k)
+			}
+		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	r := &run{base: s.allocExtent(total * int64(s.cfg.BlockSize)),
-		stride: int64(s.cfg.BlockSize), index: merged}
-	for slot, k := range keys {
-		merged[k] = int32(slot)
+	slices.Sort(extra)
+	extra = slices.Compact(extra)
+	total := dense + int64(len(extra))
+	r := &run{base: s.allocExtent(total * int64(s.cfg.BlockSize)), stride: int64(s.cfg.BlockSize), n: total}
+	if len(extra) > 0 && (extra[0] < 0 || extra[len(extra)-1] != total-1) {
+		neg, _ := slices.BinarySearch(extra, 0)
+		r.keys = make([]int64, 0, total)
+		r.keys = append(r.keys, extra[:neg]...)
+		for k := int64(0); k < dense; k++ {
+			r.keys = append(r.keys, k)
+		}
+		r.keys = append(r.keys, extra[neg:]...)
 	}
 	old := s.runs
 	s.runs = []*run{r}
@@ -709,7 +736,7 @@ func (s *Store) compact() {
 	// writes of the merged run.
 	const chunk = 1 << 20
 	for _, o := range old {
-		bytes := int64(len(o.index)) * int64(s.cfg.BlockSize)
+		bytes := o.n * int64(s.cfg.BlockSize)
 		for off := int64(0); off < bytes; off += chunk {
 			size := chunk
 			if off+int64(size) > bytes {

@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"sync"
 )
 
 // RNG is a named, seeded random stream. Each simulation component draws from
@@ -155,15 +156,51 @@ func NewZipf(g *RNG, n int64, theta float64) *Zipf {
 	if n <= 0 {
 		panic("sim: NewZipf requires n > 0")
 	}
-	if theta <= 0 || theta >= 1 {
+	if !(theta > 0 && theta < 1) {
 		panic("sim: NewZipf requires theta in (0,1)")
 	}
 	z := &Zipf{n: n, theta: theta, source: g}
 	z.zeta2 = zetaStatic(2, theta)
-	z.zetan = zetaStatic(n, theta)
+	z.zetan = zeta(n, theta)
 	z.alpha = 1.0 / (1.0 - theta)
 	z.eta = (1 - math.Pow(2.0/float64(n), 1-theta)) / (1 - z.zeta2/z.zetan)
 	return z
+}
+
+// zetaMemo holds every ζ(n, θ) this process has summed. Every YCSB client of
+// every leg builds a sampler over the same key space, and summing n terms
+// each time costs more host time than simulating the leg. Values come from
+// zetaStatic's own left-to-right sum, so a memoized ζ is bit-identical to a
+// fresh one; the mutex makes the memo safe for legs built on parallel
+// workers.
+var zetaMemo struct {
+	sync.Mutex
+	m map[zetaKey]float64
+}
+
+type zetaKey struct {
+	n     int64
+	theta float64
+}
+
+// zeta returns ζ(n, θ), summing it only on its first use in the process.
+// Concurrent first uses may both sum; they store the same value.
+func zeta(n int64, theta float64) float64 {
+	k := zetaKey{n, theta}
+	zetaMemo.Lock()
+	v, ok := zetaMemo.m[k]
+	zetaMemo.Unlock()
+	if ok {
+		return v
+	}
+	v = zetaStatic(n, theta)
+	zetaMemo.Lock()
+	if zetaMemo.m == nil {
+		zetaMemo.m = make(map[zetaKey]float64)
+	}
+	zetaMemo.m[k] = v
+	zetaMemo.Unlock()
+	return v
 }
 
 func zetaStatic(n int64, theta float64) float64 {

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"math"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -178,6 +180,7 @@ func TestZipfPanics(t *testing.T) {
 		func() { NewZipf(g, 0, 0.99) },
 		func() { NewZipf(g, 10, 0) },
 		func() { NewZipf(g, 10, 1) },
+		func() { NewZipf(g, 10, math.NaN()) }, // NaN would never hit the ζ memo
 	} {
 		func() {
 			defer func() {
@@ -188,6 +191,79 @@ func TestZipfPanics(t *testing.T) {
 			fn()
 		}()
 	}
+}
+
+// TestZetaMemoBitExact pins every memoized ζ(n, θ) — on the call that fills
+// the memo and on the one that hits it — to a fresh left-to-right sum, bit
+// for bit: the YCSB key stream depends on the exact value.
+func TestZetaMemoBitExact(t *testing.T) {
+	for _, theta := range []float64{0.5, 0.99} {
+		for _, n := range []int64{1, 2, 100000, 200000} {
+			want := 0.0
+			for i := int64(1); i <= n; i++ {
+				want += 1 / math.Pow(float64(i), theta)
+			}
+			for call := 0; call < 2; call++ {
+				if got := zeta(n, theta); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("zeta(%d, %v) call %d = %v, fresh sum %v", n, theta, call, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestZipfDrawsColdAndWarmMemo checks that a sampler built while the memo is
+// cold and one built from the memoized ζ draw the same keys.
+func TestZipfDrawsColdAndWarmMemo(t *testing.T) {
+	draws := func() []int64 {
+		z := NewZipf(NewRNG(5, "zipf-memo"), 100000, 0.99)
+		out := make([]int64, 5000)
+		for i := range out {
+			out[i] = z.Next()
+		}
+		return out
+	}
+	zetaMemo.Lock()
+	zetaMemo.m = nil
+	zetaMemo.Unlock()
+	cold := draws()
+	zetaMemo.Lock()
+	_, ok := zetaMemo.m[zetaKey{100000, 0.99}]
+	zetaMemo.Unlock()
+	if !ok {
+		t.Fatal("NewZipf did not memoize ζ(100000, 0.99)")
+	}
+	if warm := draws(); !slices.Equal(cold, warm) {
+		t.Fatal("zipf draws differ between a cold and a warm ζ memo")
+	}
+}
+
+// TestZipfMemoConcurrent builds samplers from several goroutines at once,
+// with shared and per-goroutine key spaces and two skews, the way leg
+// set-up on parallel workers does; run it under -race.
+func TestZipfMemoConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 16; i++ {
+				n := int64(1000 + 1000*(i%3))
+				if i%2 == 1 {
+					n += int64(g) // a key space only this goroutine uses
+				}
+				theta := []float64{0.5, 0.99}[i%2]
+				z := NewZipf(NewRNG(int64(g), "zipf-race"), n, theta)
+				if z.zetan != zetaStatic(n, theta) {
+					t.Errorf("goroutine %d: ζ(%d, %v) = %v, want %v", g, n, theta, z.zetan, zetaStatic(n, theta))
+				}
+				if k := z.Next(); k < 0 || k >= n {
+					t.Errorf("goroutine %d: draw %d outside [0, %d)", g, k, n)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func TestParetoAlphaPanics(t *testing.T) {

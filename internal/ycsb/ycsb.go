@@ -113,7 +113,7 @@ func New(cfg Config, rng *sim.RNG) *Workload {
 	w := &Workload{cfg: cfg, rng: rng, inserted: cfg.Records}
 	if cfg.Dist == Zipfian || cfg.Dist == Latest {
 		theta := cfg.ZipfTheta
-		if theta <= 0 || theta >= 1 {
+		if !(theta > 0 && theta < 1) { // NaN included
 			theta = 0.99
 		}
 		w.zipf = sim.NewZipf(rng, cfg.Records, theta)
