@@ -51,81 +51,26 @@ func newAllocCluster(name string, mitt bool) (*sim.Engine, *cluster.Cluster) {
 // hottest paths. These are hard budgets, not aspirations: a regression
 // here silently multiplies across every experiment's millions of IOs.
 func TestAllocBudgets(t *testing.T) {
-	t.Run("AdmissionDecision", func(t *testing.T) {
-		eng := NewEngine()
-		s := NewStack(eng, StackConfig{Device: DeviceDisk, Scheduler: SchedulerNoop, Mitt: true, Seed: 1})
-		for i := 0; i < 16; i++ {
-			s.Read(int64(i+1)*(40<<30), 1<<20, 0, func(error) {})
-		}
-		_ = s.PredictWait(100<<30, 4096) // warm the SSTF-replay scratch
-		avg := testing.AllocsPerRun(200, func() {
-			_ = s.PredictWait(450<<30, 4096)
+	// The hot-path benchmarks' own steady-state steps (bench_test.go).
+	for _, tc := range []struct {
+		name string
+		step func() func()
+	}{
+		{"AdmissionDecision", newAdmissionLoop},
+		{"CFQPredictWait", func() func() { return newCFQPredictLoop(32) }},
+		{"CFQSubmitAccept", newCFQSubmitLoop},
+		{"PutAccepted", newPutLoop},
+		// A smaller NVRAM ring than the benchmark's, already grown: the
+		// ring reuses its backing slice and the disk its pooled ack and
+		// service completions.
+		{"DiskDestage", func() func() { return newDestageLoop(256) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if avg := testing.AllocsPerRun(200, tc.step()); avg != 0 {
+				t.Fatalf("%s allocates %.1f objects per op; budget is 0", tc.name, avg)
+			}
 		})
-		if avg != 0 {
-			t.Fatalf("PredictWait allocates %.1f objects per call; budget is 0", avg)
-		}
-	})
-	t.Run("CFQPredictWait", func(t *testing.T) {
-		eng := NewEngine()
-		s := NewStack(eng, StackConfig{Device: DeviceDisk, Scheduler: SchedulerCFQ, Mitt: true, Seed: 1})
-		// Populate several process nodes so the prefix queries walk real
-		// trees, plus a device-resident quantum for the mirror replay.
-		for i := 0; i < 16; i++ {
-			req := &blockio.Request{ID: uint64(i + 1), Op: blockio.Read,
-				Offset: int64(i+1) * (40 << 30), Size: 1 << 20, Proc: i % 5}
-			s.Target().SubmitSLO(req, func(error) {})
-		}
-		_ = s.PredictWait(100<<30, 4096) // warm the replay scratch
-		avg := testing.AllocsPerRun(200, func() {
-			_ = s.PredictWait(450<<30, 4096)
-		})
-		if avg != 0 {
-			t.Fatalf("CFQ PredictWait allocates %.1f objects per call; budget is 0", avg)
-		}
-	})
-	t.Run("CFQSubmitAccept", func(t *testing.T) {
-		// Full accept round trip through MittCFQ with an SLO: admission,
-		// tolerable-table entry, dispatch, completion, recycling. Requests
-		// come from a pool so the path itself is what's measured.
-		eng := NewEngine()
-		s := NewStack(eng, StackConfig{Device: DeviceDisk, Scheduler: SchedulerCFQ, Mitt: true, Seed: 1})
-		var pool blockio.Pool
-		var ids blockio.IDGen
-		var cur *blockio.Request
-		done := func(error) { cur.Release() }
-		submit := func(off int64) {
-			cur = pool.Get()
-			cur.ID = ids.Next()
-			cur.Op = blockio.Read
-			cur.Offset, cur.Size = off, 4096
-			cur.Proc = 1
-			cur.Deadline = time.Second
-			s.Target().SubmitSLO(cur, done)
-			eng.Run()
-		}
-		for i := 0; i < 64; i++ { // warm every pool on the path
-			submit(int64(i+1) * (10 << 30))
-		}
-		avg := testing.AllocsPerRun(200, func() {
-			submit(300 << 30)
-		})
-		if avg != 0 {
-			t.Fatalf("MittCFQ accept path allocates %.1f objects per IO; budget is 0", avg)
-		}
-	})
-	t.Run("DiskDestage", func(t *testing.T) {
-		// A buffered write plus the destage pop that follows it, with the
-		// NVRAM ring already grown: the ring reuses its backing slice and
-		// the disk its pooled ack and service completions.
-		step := newDestageLoop(256)
-		for i := 0; i < 64; i++ {
-			step()
-		}
-		avg := testing.AllocsPerRun(200, step)
-		if avg != 0 {
-			t.Fatalf("buffered write + destage allocates %.1f objects per op; budget is 0", avg)
-		}
-	})
+	}
 	t.Run("EngineSchedule", func(t *testing.T) {
 		eng := NewEngine()
 		// Warm the event freelist.
@@ -139,6 +84,20 @@ func TestAllocBudgets(t *testing.T) {
 		})
 		if avg != 0 {
 			t.Fatalf("After+Run allocates %.1f objects per event; budget is 0", avg)
+		}
+	})
+	t.Run("EngineScheduleHandle", func(t *testing.T) {
+		// Schedule returns a cancellation handle, so its Event is allocated
+		// fresh rather than taken from the freelist: a held handle must never
+		// alias a later event. That one 64 B Event is the whole budget, and
+		// BenchmarkEngineCancelHeavy's 1 alloc/op.
+		eng := NewEngine()
+		nop := func() {}
+		avg := testing.AllocsPerRun(200, func() {
+			eng.Schedule(time.Millisecond, nop).Cancel()
+		})
+		if avg != 1 {
+			t.Fatalf("Schedule+Cancel allocates %.1f objects; budget is exactly 1 (the handle)", avg)
 		}
 	})
 	t.Run("EngineResetReuse", func(t *testing.T) {
@@ -158,31 +117,6 @@ func TestAllocBudgets(t *testing.T) {
 		avg := testing.AllocsPerRun(100, leg)
 		if avg != 0 {
 			t.Fatalf("Reset-then-reuse allocates %.1f objects per leg; budget is 0", avg)
-		}
-	})
-	t.Run("PutAccepted", func(t *testing.T) {
-		// The accepted durable-put round trip: WAL group assembly, SLO
-		// admission through MittCFQ, dispatch, completion, memtable apply,
-		// and memory-latency ack — every context on the path is pooled.
-		eng := NewEngine()
-		s := NewStack(eng, StackConfig{Device: DeviceDisk, Scheduler: SchedulerCFQ, Mitt: true, Seed: 1})
-		cfg := kv.DefaultConfig(0, 100<<30)
-		cfg.MemtableCap = 1 << 30 // isolate the WAL path: never flush
-		var ids blockio.IDGen
-		st := kv.New(eng, cfg, s.Target(), &ids)
-		done := func(error) {}
-		put := func() {
-			st.PutDurable(7, time.Second, done)
-			eng.Run()
-		}
-		for i := 0; i < 64; i++ { // warm every pool on the path
-			put()
-		}
-		avg := testing.AllocsPerRun(200, func() {
-			put()
-		})
-		if avg != 0 {
-			t.Fatalf("accepted durable put allocates %.1f objects per op; budget is 0", avg)
 		}
 	})
 	t.Run("KVPreload", func(t *testing.T) {

@@ -9,6 +9,7 @@ package mittos
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -44,6 +45,20 @@ func benchExperiment(b *testing.B, id string) *ExperimentResult {
 	return res
 }
 
+// trackGCPause starts counting the stop-the-world GC pause the benchmark
+// causes; the returned report adds it per op as the gc-pause-ns/op metric,
+// so the A/B gate sees the GC pressure of an experiment-scale benchmark
+// that its ns/op, averaged over a whole regeneration, can hide.
+func trackGCPause(b *testing.B) (report func()) {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	start := ms.PauseTotalNs
+	return func() {
+		runtime.ReadMemStats(&ms)
+		b.ReportMetric(float64(ms.PauseTotalNs-start)/float64(b.N), "gc-pause-ns/op")
+	}
+}
+
 // BenchmarkTable1 regenerates Table 1 (the NoSQL tail-tolerance survey).
 func BenchmarkTable1(b *testing.B) {
 	benchExperiment(b, "table1")
@@ -64,9 +79,11 @@ func BenchmarkFig4(b *testing.B) {
 	opt := experiments.QuickFig4Options()
 	opt.Duration = 4 * time.Second
 	var res *ExperimentResult
+	reportGCPause := trackGCPause(b)
 	for i := 0; i < b.N; i++ {
 		res = experiments.Fig4(opt)
 	}
+	reportGCPause()
 	reportTailMetrics(b, res, "CFQ-LowPrioNoise/MittOS", "mitt")
 	reportTailMetrics(b, res, "CFQ-LowPrioNoise/Base", "base")
 }
@@ -186,7 +203,9 @@ func BenchmarkFailslow(b *testing.B) {
 // BenchmarkYCSBMix regenerates the YCSB A/B/F mixed-workload matrix (every
 // read strategy paired with its write-side mirror over quorum puts).
 func BenchmarkYCSBMix(b *testing.B) {
+	reportGCPause := trackGCPause(b)
 	res := benchExperiment(b, "ycsbmix")
+	reportGCPause()
 	reportTailMetrics(b, res, "A/MittOS put", "mitt-put")
 	reportTailMetrics(b, res, "A/Base put", "base-put")
 }
@@ -196,7 +215,9 @@ func BenchmarkYCSBMix(b *testing.B) {
 // custom metrics carry the headline comparison: SLO attainment at the
 // highest pre-saturation rate for MittOS vs Base on the get path.
 func BenchmarkLoadSweep(b *testing.B) {
+	reportGCPause := trackGCPause(b)
 	res := benchExperiment(b, "loadsweep")
+	reportGCPause()
 	var kneeGet struct{ base, mitt float64 }
 	knee := 0.0
 	for _, p := range res.Sweep {
@@ -219,11 +240,23 @@ func BenchmarkLoadSweep(b *testing.B) {
 	b.ReportMetric(kneeGet.base, "base-attain-%")
 }
 
-// BenchmarkPutAdmission measures the accepted durable-put round trip: WAL
-// group assembly, SLO admission through MittCFQ, dispatch, completion,
-// memtable apply, and the memory-latency ack — the write-path twin of
-// BenchmarkCFQSubmitDispatch, and allocation-free in steady state.
-func BenchmarkPutAdmission(b *testing.B) {
+// The hot-path benchmarks below share their fixtures with TestAllocBudgets:
+// each constructor builds and warms the state and returns one steady-state
+// step, which the benchmark times and the allocation budget pins.
+
+// benchLoop times step, one call per iteration, with allocation reporting.
+func benchLoop(b *testing.B, step func()) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+}
+
+// newPutLoop builds a durable kv store over a MittCFQ disk stack and returns
+// one accepted durable put run to its ack: WAL group assembly, SLO admission,
+// dispatch, completion, memtable apply, and the memory-latency ack.
+func newPutLoop() (step func()) {
 	eng := NewEngine()
 	s := NewStack(eng, StackConfig{Device: DeviceDisk, Scheduler: SchedulerCFQ, Mitt: true, Seed: 1})
 	cfg := kv.DefaultConfig(0, 100<<30)
@@ -238,10 +271,29 @@ func BenchmarkPutAdmission(b *testing.B) {
 	for i := 0; i < 64; i++ { // warm every pool on the path
 		put()
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		put()
+	return put
+}
+
+// BenchmarkPutAdmission measures the accepted durable-put round trip — the
+// write-path twin of BenchmarkCFQSubmitDispatch, and allocation-free in
+// steady state.
+func BenchmarkPutAdmission(b *testing.B) {
+	benchLoop(b, newPutLoop())
+}
+
+// newAdmissionLoop builds a MittNoop disk stack with 16 large reads queued
+// and returns one admission prediction for a 4 KB read, its offset stepping
+// across the disk so the SSTF-mirror replay sees a new seek each time.
+func newAdmissionLoop() (step func()) {
+	eng := NewEngine()
+	s := NewStack(eng, StackConfig{Device: DeviceDisk, Scheduler: SchedulerNoop, Mitt: true, Seed: 1})
+	for i := 0; i < 16; i++ {
+		s.Read(int64(i+1)*(40<<30), 1<<20, 0, func(error) {})
+	}
+	i := 0
+	return func() {
+		_ = s.PredictWait(int64(i%900)<<30, 4096)
+		i++
 	}
 }
 
@@ -249,49 +301,45 @@ func BenchmarkPutAdmission(b *testing.B) {
 // decision in the simulator — the analogue of the paper's <5µs syscall
 // claim (here: pure prediction cost, no kernel crossing).
 func BenchmarkAdmissionDecision(b *testing.B) {
+	benchLoop(b, newAdmissionLoop())
+}
+
+// newCFQPredictLoop builds a MittCFQ disk stack with two 1 MB reads queued
+// by each of processes procs down to 1 and returns one admission prediction
+// for a 4 KB read from process 1. Process procs went first and holds the
+// device; process 1 joined the round robin last, so every prediction takes
+// the same-class prefix query over all the other queued nodes. MittCFQ
+// predicts per process, not per offset, so the read's offset stays put.
+func newCFQPredictLoop(procs int) (step func()) {
 	eng := NewEngine()
-	s := NewStack(eng, StackConfig{Device: DeviceDisk, Scheduler: SchedulerNoop, Mitt: true, Seed: 1})
-	for i := 0; i < 16; i++ {
-		s.Read(int64(i+1)*(40<<30), 1<<20, 0, func(error) {})
+	s := NewStack(eng, StackConfig{Device: DeviceDisk, Scheduler: SchedulerCFQ, Mitt: true, Seed: 1})
+	var ids blockio.IDGen
+	for p := 0; p < procs; p++ {
+		for k := 0; k < 2; k++ {
+			req := &Request{ID: ids.Next(), Op: OpRead,
+				Offset: int64(p*7+k+1) * (1 << 30), Size: 1 << 20, Proc: procs - p}
+			s.Target().SubmitSLO(req, func(error) {})
+		}
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = s.PredictWait(int64(i%900)<<30, 4096)
-	}
+	_ = s.PredictWait(100<<30, 4096) // warm the replay scratch
+	return func() { _ = s.PredictWait(450<<30, 4096) }
 }
 
 // BenchmarkPredictWaitCFQ measures MittCFQ's admission prediction with P
 // process nodes queued — the path the augmented service trees turned from an
-// O(P) walk into O(log P) prefix queries, so ns/op should stay nearly flat
-// as P grows.
+// O(P) walk into O(log P) prefix queries, so ns/op grows with log P, not P.
 func BenchmarkPredictWaitCFQ(b *testing.B) {
 	for _, procs := range []int{4, 32, 256} {
 		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
-			eng := NewEngine()
-			s := NewStack(eng, StackConfig{Device: DeviceDisk, Scheduler: SchedulerCFQ, Mitt: true, Seed: 1})
-			var ids blockio.IDGen
-			for p := 0; p < procs; p++ {
-				for k := 0; k < 2; k++ {
-					req := &Request{ID: ids.Next(), Op: OpRead,
-						Offset: int64(p*7+k+1) * (1 << 30), Size: 1 << 20, Proc: p + 2}
-					s.Target().SubmitSLO(req, func(error) {})
-				}
-			}
-			_ = s.PredictWait(100<<30, 4096) // warm the replay scratch
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = s.PredictWait(int64(i%900)<<30, 4096)
-			}
+			benchLoop(b, newCFQPredictLoop(procs))
 		})
 	}
 }
 
-// BenchmarkCFQSubmitDispatch measures the full MittCFQ accept round trip:
-// admission, tolerable-table entry, CFQ dispatch, disk service, completion,
-// and recycling of every pooled context — the per-IO cost of the busiest
-// experiment path.
-func BenchmarkCFQSubmitDispatch(b *testing.B) {
+// newCFQSubmitLoop builds a MittCFQ disk stack and returns one pooled 4 KB
+// read with an SLO run to completion: admission, tolerable-table entry, CFQ
+// dispatch, disk service, completion, and recycling of every pooled context.
+func newCFQSubmitLoop() (step func()) {
 	eng := NewEngine()
 	s := NewStack(eng, StackConfig{Device: DeviceDisk, Scheduler: SchedulerCFQ, Mitt: true, Seed: 1})
 	var pool blockio.Pool
@@ -311,11 +359,17 @@ func BenchmarkCFQSubmitDispatch(b *testing.B) {
 	for i := 0; i < 64; i++ { // warm every pool on the path
 		submit(int64(i+1) * (10 << 30))
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	i := 0
+	return func() {
 		submit(int64(i%900) << 30)
+		i++
 	}
+}
+
+// BenchmarkCFQSubmitDispatch measures the full MittCFQ accept round trip —
+// the per-IO cost of the busiest experiment path.
+func BenchmarkCFQSubmitDispatch(b *testing.B) {
+	benchLoop(b, newCFQSubmitLoop())
 }
 
 // newDestageLoop builds a disk whose NVRAM buffer is filled to within two
@@ -352,12 +406,7 @@ func newDestageLoop(slots int) (step func()) {
 // pop with the buffer held at 4094-4095 of 4096 slots: the ring makes both
 // O(1), so ns/op does not grow with the buffer's occupancy.
 func BenchmarkDiskDestage(b *testing.B) {
-	step := newDestageLoop(4096)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		step()
-	}
+	benchLoop(b, newDestageLoop(4096))
 }
 
 var seekCostSink time.Duration
@@ -401,118 +450,66 @@ func BenchmarkEngineThroughput(b *testing.B) {
 // tick visits them round-robin (each stream every ~12 ms),
 // so every timeout is cancelled long before it fires. This is the pattern
 // Hedged/Tied/AppTO strategies and MittCFQ bumped-entry cancels put on the
-// queue. The wheel sub-run uses the engine's O(1) intrusive unlink; the heap
-// sub-run drives the retained min-heap oracle, which pays tombstone
-// accumulation plus periodic compaction sweeps for the same workload.
+// queue, and the engine's O(1) intrusive unlink serves it. Its 1 alloc/op
+// (64 B) is the *Event handle each Schedule returns: handle events are
+// allocated fresh, never recycled, so a held handle can never alias a later
+// event (TestAllocBudgets/EngineScheduleHandle pins it).
 func BenchmarkEngineCancelHeavy(b *testing.B) {
 	const (
 		streams = 4096
 		tickGap = 3 * time.Microsecond
 		timeout = 30 * time.Millisecond
 	)
-	b.Run("wheel", func(b *testing.B) {
-		eng := sim.NewEngine()
-		nop := func() {}
-		timeouts := make([]*sim.Event, streams)
-		n, cur := 0, 0
-		var tick func()
-		tick = func() {
-			s := cur
-			cur = (cur + 1) % streams
-			if timeouts[s] != nil {
-				timeouts[s].Cancel()
-			}
-			timeouts[s] = eng.Schedule(timeout, nop)
-			n++
-			if n < b.N {
-				eng.After(tickGap, tick)
-			}
+	eng := sim.NewEngine()
+	nop := func() {}
+	timeouts := make([]*sim.Event, streams)
+	n, cur := 0, 0
+	var tick func()
+	tick = func() {
+		s := cur
+		cur = (cur + 1) % streams
+		if timeouts[s] != nil {
+			timeouts[s].Cancel()
 		}
-		eng.After(tickGap, tick)
-		b.ReportAllocs()
-		b.ResetTimer()
-		eng.Run()
-	})
-	b.Run("heap", func(b *testing.B) {
-		eng := sim.NewEventHeap()
-		nop := func() {}
-		timeouts := make([]*sim.HeapEvent, streams)
-		n, cur := 0, 0
-		var tick func()
-		tick = func() {
-			s := cur
-			cur = (cur + 1) % streams
-			if timeouts[s] != nil {
-				timeouts[s].Cancel()
-			}
-			timeouts[s] = eng.Schedule(timeout, nop)
-			n++
-			if n < b.N {
-				eng.After(tickGap, tick)
-			}
+		timeouts[s] = eng.Schedule(timeout, nop)
+		n++
+		if n < b.N {
+			eng.After(tickGap, tick)
 		}
-		eng.After(tickGap, tick)
-		b.ReportAllocs()
-		b.ResetTimer()
-		eng.Run()
-	})
+	}
+	eng.After(tickGap, tick)
+	b.ReportAllocs()
+	b.ResetTimer()
+	eng.Run()
 }
 
 // BenchmarkEngineMixedHorizon interleaves µs-scale device events with ms-
 // and multi-second deadlines — the shape of a real experiment leg, where
 // disk completions share the queue with SLO timeouts and probe periods. The
-// spread keeps several wheel levels occupied so cascading is exercised on
-// the wheel sub-run, while the heap sub-run pays O(log n) sifts against the
-// long-lived far-future entries.
+// spread keeps several wheel levels occupied so cascading is exercised.
 func BenchmarkEngineMixedHorizon(b *testing.B) {
-	b.Run("wheel", func(b *testing.B) {
-		eng := sim.NewEngine()
-		nop := func() {}
-		i := 0
-		var tick func()
-		tick = func() {
-			i++
-			switch {
-			case i%4096 == 0:
-				eng.After(5*time.Second, nop)
-			case i%256 == 0:
-				eng.After(300*time.Millisecond, nop)
-			case i%16 == 0:
-				eng.After(4*time.Millisecond, nop)
-			}
-			if i < b.N {
-				eng.After(2*time.Microsecond, tick)
-			}
+	eng := sim.NewEngine()
+	nop := func() {}
+	i := 0
+	var tick func()
+	tick = func() {
+		i++
+		switch {
+		case i%4096 == 0:
+			eng.After(5*time.Second, nop)
+		case i%256 == 0:
+			eng.After(300*time.Millisecond, nop)
+		case i%16 == 0:
+			eng.After(4*time.Millisecond, nop)
 		}
-		eng.After(2*time.Microsecond, tick)
-		b.ReportAllocs()
-		b.ResetTimer()
-		eng.Run()
-	})
-	b.Run("heap", func(b *testing.B) {
-		eng := sim.NewEventHeap()
-		nop := func() {}
-		i := 0
-		var tick func()
-		tick = func() {
-			i++
-			switch {
-			case i%4096 == 0:
-				eng.After(5*time.Second, nop)
-			case i%256 == 0:
-				eng.After(300*time.Millisecond, nop)
-			case i%16 == 0:
-				eng.After(4*time.Millisecond, nop)
-			}
-			if i < b.N {
-				eng.After(2*time.Microsecond, tick)
-			}
+		if i < b.N {
+			eng.After(2*time.Microsecond, tick)
 		}
-		eng.After(2*time.Microsecond, tick)
-		b.ReportAllocs()
-		b.ResetTimer()
-		eng.Run()
-	})
+	}
+	eng.After(2*time.Microsecond, tick)
+	b.ReportAllocs()
+	b.ResetTimer()
+	eng.Run()
 }
 
 // BenchmarkMittSMR measures the §8.2 SMR extension: deadline probes under
@@ -567,7 +564,7 @@ func BenchmarkMittVMM(b *testing.B) {
 			{ID: 0, CPUBound: true}, {ID: 1, CPUBound: true}, {ID: 2, CPUBound: true},
 		})
 		idle := NewVMMHost(eng, DefaultVMMConfig(), []*GuestVM{{ID: 0}})
-		lat := newBenchSample()
+		lat := stats.NewSample(1 << 12)
 		rng := NewRNG(9, "vmm")
 		eng.NewTicker(5*time.Millisecond, func() {
 			start := eng.Now()
@@ -602,13 +599,3 @@ func BenchmarkThroughputSLO(b *testing.B) {
 	}
 	eng.Run()
 }
-
-// newBenchSample wraps internal/stats.Sample, which sorts once per query
-// batch — the hand-rolled insertion sort it replaced was O(n²) and
-// quadratic at full-scale sample sizes.
-func newBenchSample() *benchSample { return &benchSample{s: stats.NewSample(1 << 12)} }
-
-type benchSample struct{ s *stats.Sample }
-
-func (b *benchSample) Add(d time.Duration)                { b.s.Add(d) }
-func (b *benchSample) Percentile(p float64) time.Duration { return b.s.Percentile(p) }

@@ -1,152 +1,268 @@
-// Command benchdiff compares two mittbench -bench-json snapshots and fails
-// (exit 1) on performance regressions — the CI gate that keeps the
-// admission path's measured budgets from silently eroding.
+// Command benchdiff compares two files of `go test -bench -benchmem` output
+// and fails (exit 1) when the head regressed against the base — the CI gate
+// that keeps the admission path's measured budgets from silently eroding.
 //
 // Usage:
 //
-//	benchdiff [-ns-threshold 25] [-bytes-threshold 25] [-gc-threshold 100] old.json new.json
+//	benchdiff base.txt head.txt
 //
-// For every benchmark present in the baseline, the gate fails when:
+// Each file holds several runs of the same benchmarks, taken on one machine
+// with the base and head test binaries alternating (cmd/benchdiff/ab.sh).
+// For every benchmark on both sides benchdiff compares the per-benchmark
+// median of each measure across runs, and fails when:
 //
-//   - ns/op regresses by more than -ns-threshold percent (default 25%,
-//     loose enough for shared CI machines but tight enough to catch a
-//     complexity-class slip), or
-//   - bytes/op regresses by more than -bytes-threshold percent (default
-//     25%, same slack rules as ns/op: percent-threshold on nonzero
-//     baselines), or any increase at all on a zero-bytes baseline (a
-//     pinned allocation-free path), or
-//   - allocs/op regresses: any increase for zero-alloc baselines (those
-//     paths are pinned and deterministic), and any increase beyond 0.1%
-//     for experiment-scale baselines (iteration count amortizes one-time
-//     warmup allocations differently run to run, shifting the count by a
-//     few parts in ten thousand), or
-//   - GC pause per op regresses by more than -gc-threshold percent
-//     (default 100% — pause totals are the noisiest of the measures),
-//     gated only where the baseline recorded a material pause (at least
-//     1µs/op: experiment-scale benchmarks). Old snapshots without the GC
-//     fields, benchmarks that never trigger a collection, and
-//     nanosecond-scale paths whose amortized pause is measurement noise
-//     are not gated. Or
-//   - the benchmark disappeared from the new snapshot (coverage loss).
+//   - allocs/op rises at all over a zero baseline (a pinned allocation-free
+//     path), or by more than allocsSlackPct over a nonzero one (one-time
+//     warm-up allocations move experiment-scale counts by a few parts in
+//     ten thousand);
+//   - B/op rises at all over a zero baseline, or by more than bytesSlackPct;
+//   - gc-pause-ns/op rises by more than gcPauseSlackPct where the base reads
+//     at least materialPauseNsPerOp;
+//   - ns/op is slower by more than nsSlackPct and by more than the spread
+//     between the base runs' own quartiles, and the head's lower quartile
+//     sits above the base's upper one: a difference the base shows against
+//     itself, or a machine that switches speed mid-run and slows some runs
+//     of each side, never fails the gate.
 //
-// Benchmarks only present in the new snapshot pass (they extend coverage;
-// committing the refreshed snapshot makes them part of the baseline).
+// A benchmark found on only one side is named and does not fail: under an
+// A/B comparison it can appear or vanish only through a change to the
+// benchmark source in the same diff. Input that holds no benchmark result,
+// or a benchmark line that does not parse, exits 2.
 package main
 
 import (
-	"encoding/json"
-	"flag"
+	"bufio"
+	"errors"
 	"fmt"
+	"io"
 	"os"
+	"sort"
+	"strconv"
+	"strings"
 )
 
-// materialPauseNsPerOp is the floor below which the GC-pause gate stays
-// unarmed: a sub-microsecond amortized pause means the benchmark barely
-// collects at all, and the ratio of two such numbers is noise over noise.
-const materialPauseNsPerOp = 1000
+const (
+	// nsSlackPct is the ns/op slowdown, in percent of the base median, that
+	// a head must exceed before the base's own spread is consulted.
+	nsSlackPct = 20
+	// bytesSlackPct is the allowed B/op rise over a nonzero baseline.
+	bytesSlackPct = 25
+	// allocsSlackPct is the allowed allocs/op rise over a nonzero baseline.
+	allocsSlackPct = 0.1
+	// gcPauseSlackPct is the allowed gc-pause-ns/op rise: pause totals are
+	// the noisiest of the measures.
+	gcPauseSlackPct = 100
+	// materialPauseNsPerOp is the floor below which the GC-pause rule stays
+	// unarmed: a sub-microsecond amortized pause means the benchmark barely
+	// collects, and the ratio of two such numbers is noise over noise.
+	materialPauseNsPerOp = 1000
+)
 
-type benchResult struct {
-	Name        string  `json:"name"`
-	Iterations  int     `json:"iterations"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	// GC fields are zero in snapshots written before they existed; the
-	// pause gate only arms when the baseline recorded a material value.
-	HeapAllocBytes uint64  `json:"heap_alloc_bytes"`
-	NumGC          uint32  `json:"num_gc"`
-	GCPauseNs      uint64  `json:"gc_pause_ns"`
-	GCPauseNsPerOp float64 `json:"gc_pause_ns_per_op"`
+// runs maps a benchmark's units (ns/op, B/op, allocs/op, custom metrics) to
+// one value per run, in file order.
+type runs map[string][]float64
+
+// results is one file's benchmarks in first-appearance order.
+type results struct {
+	names []string
+	by    map[string]runs
 }
 
-func load(path string) (map[string]benchResult, []string, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	var list []benchResult
-	if err := json.Unmarshal(data, &list); err != nil {
-		return nil, nil, fmt.Errorf("%s: %w", path, err)
-	}
-	m := make(map[string]benchResult, len(list))
-	order := make([]string, 0, len(list))
-	for _, r := range list {
-		if _, dup := m[r.Name]; dup {
-			return nil, nil, fmt.Errorf("%s: duplicate benchmark %q", path, r.Name)
+// parse reads `go test -bench` output. Lines that are not benchmark results
+// (goos:, pkg:, PASS, ok, logs) are skipped; a benchmark name alone on its
+// line is the announcement go test prints before a benchmark's log output.
+func parse(r io.Reader) (*results, error) {
+	res := &results{by: make(map[string]runs)}
+	sc := bufio.NewScanner(r)
+	for line := 1; sc.Scan(); line++ {
+		f := strings.Fields(sc.Text())
+		if len(f) < 2 || !strings.HasPrefix(f[0], "Benchmark") {
+			continue
 		}
-		m[r.Name] = r
-		order = append(order, r.Name)
+		// name, iterations, then value-unit pairs
+		if len(f)%2 != 0 {
+			return nil, fmt.Errorf("line %d: odd field count in %q", line, sc.Text())
+		}
+		if _, err := strconv.ParseUint(f[1], 10, 64); err != nil {
+			return nil, fmt.Errorf("line %d: iteration count: %w", line, err)
+		}
+		vals := make(map[string]float64, len(f)/2-1)
+		for i := 2; i < len(f); i += 2 {
+			v, err := strconv.ParseFloat(f[i], 64)
+			if err != nil {
+				return nil, fmt.Errorf("line %d: %s: %w", line, f[i+1], err)
+			}
+			vals[f[i+1]] = v
+		}
+		if _, ok := vals["ns/op"]; !ok {
+			return nil, fmt.Errorf("line %d: no ns/op in %q", line, sc.Text())
+		}
+		name := benchName(f[0])
+		m, seen := res.by[name]
+		if !seen {
+			m = make(runs)
+			res.by[name] = m
+			res.names = append(res.names, name)
+		}
+		for unit, v := range vals {
+			m[unit] = append(m[unit], v)
+		}
 	}
-	return m, order, nil
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	if len(res.names) == 0 {
+		return nil, errors.New("no benchmark results")
+	}
+	return res, nil
+}
+
+// benchName drops the Benchmark prefix and the -N GOMAXPROCS suffix that go
+// test appends when N > 1, so runs at different -cpu settings still pair.
+func benchName(s string) string {
+	s = strings.TrimPrefix(s, "Benchmark")
+	if i := strings.LastIndexByte(s, '-'); i >= 0 && i > strings.LastIndexByte(s, '/') {
+		if _, err := strconv.Atoi(s[i+1:]); err == nil {
+			s = s[:i]
+		}
+	}
+	return s
+}
+
+// quartiles returns the lower quartile, median and upper quartile of xs by
+// the exclusive method (Python's statistics.quantiles default).
+func quartiles(xs []float64) (q1, med, q3 float64) {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	n := len(s)
+	if n == 1 {
+		return s[0], s[0], s[0]
+	}
+	var q [3]float64
+	for i := 1; i <= 3; i++ {
+		j := i * (n + 1) / 4
+		if j < 1 {
+			j = 1
+		} else if j > n-1 {
+			j = n - 1
+		}
+		delta := i*(n+1) - j*4
+		q[i-1] = (s[j-1]*float64(4-delta) + s[j]*float64(delta)) / 4
+	}
+	return q[0], q[1], q[2]
+}
+
+func median(xs []float64) float64 {
+	_, m, _ := quartiles(xs)
+	return m
+}
+
+// pctRise is how far head rises over base, in percent of base.
+func pctRise(base, head float64) float64 { return 100 * (head - base) / base }
+
+// regressions applies the gate's rules to one benchmark's base and head runs
+// and names each measure that regressed.
+func regressions(base, head runs) []string {
+	var failed []string
+	if b, h, ok := medians(base, head, "ns/op"); ok {
+		bq1, _, bq3 := quartiles(base["ns/op"])
+		hq1, _, _ := quartiles(head["ns/op"])
+		if pctRise(b, h) > nsSlackPct && h-b > bq3-bq1 && hq1 > bq3 {
+			failed = append(failed, "ns/op")
+		}
+	}
+	if b, h, ok := medians(base, head, "B/op"); ok {
+		if (b == 0 && h > 0) || (b > 0 && pctRise(b, h) > bytesSlackPct) {
+			failed = append(failed, "B/op")
+		}
+	}
+	if b, h, ok := medians(base, head, "allocs/op"); ok {
+		if (b == 0 && h > 0) || (b > 0 && pctRise(b, h) > allocsSlackPct) {
+			failed = append(failed, "allocs/op")
+		}
+	}
+	if b, h, ok := medians(base, head, "gc-pause-ns/op"); ok {
+		if b >= materialPauseNsPerOp && pctRise(b, h) > gcPauseSlackPct {
+			failed = append(failed, "gc-pause-ns/op")
+		}
+	}
+	return failed
+}
+
+// medians returns both sides' medians of unit, when both sides report it.
+func medians(base, head runs, unit string) (b, h float64, ok bool) {
+	if len(base[unit]) == 0 || len(head[unit]) == 0 {
+		return 0, 0, false
+	}
+	return median(base[unit]), median(head[unit]), true
+}
+
+// cell renders one side's median of unit, or "-" when it reports none.
+func cell(r runs, unit string) string {
+	if len(r[unit]) == 0 {
+		return "-"
+	}
+	return strconv.FormatFloat(median(r[unit]), 'g', 6, 64)
 }
 
 func main() {
-	nsThreshold := flag.Float64("ns-threshold", 25, "max allowed ns/op regression in percent")
-	bytesThreshold := flag.Float64("bytes-threshold", 25, "max allowed bytes/op regression in percent (zero-bytes baselines allow no increase)")
-	gcThreshold := flag.Float64("gc-threshold", 100, "max allowed GC-pause-per-op regression in percent, where the baseline recorded a material (>=1µs/op) pause")
-	flag.Parse()
-	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: benchdiff [-ns-threshold pct] [-bytes-threshold pct] [-gc-threshold pct] old.json new.json")
-		os.Exit(2)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run compares the two files named in args and returns the exit code: 0
+// when nothing regressed, 1 on a regression, 2 on bad usage or input.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) != 2 {
+		fmt.Fprintln(stderr, "usage: benchdiff base.txt head.txt")
+		return 2
 	}
-	oldSet, order, err := load(flag.Arg(0))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+	var sides [2]*results
+	for i, path := range args {
+		f, err := os.Open(path)
+		if err != nil {
+			fmt.Fprintln(stderr, err)
+			return 2
+		}
+		sides[i], err = parse(f)
+		f.Close()
+		if err != nil {
+			fmt.Fprintf(stderr, "%s: %v\n", path, err)
+			return 2
+		}
 	}
-	newSet, _, err := load(flag.Arg(1))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
+	base, head := sides[0], sides[1]
 
 	failed := false
-	fmt.Printf("%-24s %14s %14s %8s %14s %8s %10s %10s %12s\n",
-		"benchmark", "old ns/op", "new ns/op", "Δns", "new B/op", "ΔB", "old allocs", "new allocs", "Δgc-pause")
-	for _, name := range order {
-		o := oldSet[name]
-		n, ok := newSet[name]
-		if !ok {
-			fmt.Printf("%-24s MISSING from new snapshot\n", name)
-			failed = true
+	fmt.Fprintf(stdout, "%-28s %4s %12s %12s %8s %8s %11s %11s %12s %12s %11s %11s\n",
+		"benchmark", "runs", "base ns/op", "head ns/op", "Δns", "base IQR",
+		"base B/op", "head B/op", "base allocs", "head allocs", "base gc-ns", "head gc-ns")
+	for _, name := range base.names {
+		b, h := base.by[name], head.by[name]
+		if h == nil {
+			fmt.Fprintf(stdout, "%-28s only in base\n", name)
 			continue
 		}
-		deltaPct := 0.0
-		if o.NsPerOp > 0 {
-			deltaPct = 100 * (n.NsPerOp - o.NsPerOp) / o.NsPerOp
-		}
-		bytesPct := 0.0
-		if o.BytesPerOp > 0 {
-			bytesPct = 100 * float64(n.BytesPerOp-o.BytesPerOp) / float64(o.BytesPerOp)
-		}
-		gcPct := 0.0
-		if o.GCPauseNsPerOp >= materialPauseNsPerOp {
-			gcPct = 100 * (n.GCPauseNsPerOp - o.GCPauseNsPerOp) / o.GCPauseNsPerOp
-		}
+		q1, bm, q3 := quartiles(b["ns/op"])
 		verdict := ""
-		if deltaPct > *nsThreshold {
-			verdict = "  FAIL ns/op"
+		for _, unit := range regressions(b, h) {
+			verdict += "  FAIL " + unit
 			failed = true
 		}
-		if bytesPct > *bytesThreshold || (o.BytesPerOp == 0 && n.BytesPerOp > 0) {
-			verdict += "  FAIL bytes/op"
-			failed = true
+		fmt.Fprintf(stdout, "%-28s %4d %12.4g %12.4g %+7.1f%% %7.1f%% %11s %11s %12s %12s %11s %11s%s\n",
+			name, min(len(b["ns/op"]), len(h["ns/op"])), bm, median(h["ns/op"]),
+			pctRise(bm, median(h["ns/op"])), 100*(q3-q1)/bm,
+			cell(b, "B/op"), cell(h, "B/op"), cell(b, "allocs/op"), cell(h, "allocs/op"),
+			cell(b, "gc-pause-ns/op"), cell(h, "gc-pause-ns/op"), verdict)
+	}
+	for _, name := range head.names {
+		if base.by[name] == nil {
+			fmt.Fprintf(stdout, "%-28s only in head\n", name)
 		}
-		if n.AllocsPerOp > o.AllocsPerOp+o.AllocsPerOp/1000 {
-			verdict += "  FAIL allocs/op"
-			failed = true
-		}
-		if o.GCPauseNsPerOp >= materialPauseNsPerOp && gcPct > *gcThreshold {
-			verdict += "  FAIL gc-pause/op"
-			failed = true
-		}
-		fmt.Printf("%-24s %14.1f %14.1f %+7.1f%% %14d %+7.1f%% %10d %10d %+11.1f%%%s\n",
-			name, o.NsPerOp, n.NsPerOp, deltaPct, n.BytesPerOp, bytesPct,
-			o.AllocsPerOp, n.AllocsPerOp, gcPct, verdict)
 	}
 	if failed {
-		fmt.Println("\nbenchdiff: regression detected")
-		os.Exit(1)
+		fmt.Fprintln(stdout, "\nbenchdiff: regression detected")
+		return 1
 	}
-	fmt.Println("\nbenchdiff: ok")
+	fmt.Fprintln(stdout, "\nbenchdiff: ok")
+	return 0
 }

@@ -34,17 +34,12 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"strings"
-	"testing"
 	"time"
 
 	"mittos"
-	"mittos/internal/blockio"
-	"mittos/internal/disk"
 	"mittos/internal/experiments"
 	"mittos/internal/faults"
-	"mittos/internal/kv"
 	"mittos/internal/metrics"
-	"mittos/internal/sim"
 )
 
 func main() {
@@ -65,7 +60,6 @@ func main() {
 		metricsOn   = flag.Bool("metrics", false, "collect per-layer counters/histograms and print an end-of-run dump per leg (fig4, fig7)")
 		traceIOs    = flag.Int("trace-ios", 0, "with -metrics: capture the first N per-IO spans per leg and print them as JSONL (<0 = all)")
 		metricsJSON = flag.String("metrics-json", "", "with -metrics: also write every snapshot as a JSON array to this file")
-		benchJSON   = flag.String("bench-json", "", "run the headline benchmarks in-process and write ns/op, B/op, allocs/op as JSON to this file, then exit")
 
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (inspect with `go tool pprof`)")
 		memprofile = flag.String("memprofile", "", "write an end-of-run heap profile to this file (allocation sites need no extra flag: virtual time makes every run a profiling run)")
@@ -78,13 +72,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		stopProfiles()
 		os.Exit(code)
-	}
-
-	if *benchJSON != "" {
-		if err := runBenchJSON(*benchJSON); err != nil {
-			fail(err, 1)
-		}
-		return
 	}
 
 	if *list || *run == "" {
@@ -277,9 +264,6 @@ func startProfiles(cpu, mem string) func() {
 	}
 }
 
-// benchSink defeats dead-code elimination in the SeekCost benchmark.
-var benchSink time.Duration
-
 // formatBytes renders a byte count with a binary-unit suffix.
 func formatBytes(n uint64) string {
 	switch {
@@ -291,313 +275,6 @@ func formatBytes(n uint64) string {
 		return fmt.Sprintf("%.1f KiB", float64(n)/(1<<10))
 	}
 	return fmt.Sprintf("%d B", n)
-}
-
-// benchResult is one headline benchmark's record in the -bench-json dump.
-// The GC fields come from runtime.ReadMemStats deltas taken around the
-// testing.Benchmark call: NumGC and GCPauseNs cover every trial run the
-// harness made (N grows geometrically, so the final run dominates), and
-// GCPauseNsPerOp divides the total pause by the final iteration count —
-// an upper bound on the per-op pause cost, steady enough to gate on.
-// HeapAllocBytes is the live heap right after the benchmark, with the
-// preceding benchmarks' garbage already collected: what the benchmark's
-// working set (pools, arenas, profiles) permanently retains.
-type benchResult struct {
-	Name           string  `json:"name"`
-	Iterations     int     `json:"iterations"`
-	NsPerOp        float64 `json:"ns_per_op"`
-	BytesPerOp     int64   `json:"bytes_per_op"`
-	AllocsPerOp    int64   `json:"allocs_per_op"`
-	HeapAllocBytes uint64  `json:"heap_alloc_bytes"`
-	NumGC          uint32  `json:"num_gc"`
-	GCPauseNs      uint64  `json:"gc_pause_ns"`
-	GCPauseNsPerOp float64 `json:"gc_pause_ns_per_op"`
-}
-
-// runBenchJSON executes the headline benchmarks in-process (the same bodies
-// as the go-test benchmarks) and writes their ns/op and allocation profile
-// as a JSON array — the machine-readable artifact CI archives per commit.
-func runBenchJSON(path string) error {
-	var results []benchResult
-	add := func(name string, fn func(b *testing.B)) {
-		// Settle the previous benchmark's garbage so each measurement
-		// starts from a quiet heap instead of inheriting GC debt.
-		runtime.GC()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		r := testing.Benchmark(fn)
-		runtime.ReadMemStats(&after)
-		res := benchResult{
-			Name:           name,
-			Iterations:     r.N,
-			NsPerOp:        float64(r.T.Nanoseconds()) / float64(r.N),
-			BytesPerOp:     r.AllocedBytesPerOp(),
-			AllocsPerOp:    r.AllocsPerOp(),
-			HeapAllocBytes: after.HeapAlloc,
-			NumGC:          after.NumGC - before.NumGC,
-			GCPauseNs:      after.PauseTotalNs - before.PauseTotalNs,
-		}
-		if r.N > 0 {
-			res.GCPauseNsPerOp = float64(res.GCPauseNs) / float64(r.N)
-		}
-		results = append(results, res)
-		fmt.Printf("%-24s %12.1f ns/op %12d B/op %8d allocs/op %6d GCs %10.1f GC-pause-ns/op\n",
-			name, res.NsPerOp, res.BytesPerOp, res.AllocsPerOp, res.NumGC, res.GCPauseNsPerOp)
-	}
-
-	add("Fig4", func(b *testing.B) {
-		b.ReportAllocs()
-		opt := experiments.QuickFig4Options()
-		opt.Duration = 4 * time.Second
-		for i := 0; i < b.N; i++ {
-			experiments.Fig4(opt)
-		}
-	})
-
-	add("AdmissionDecision", func(b *testing.B) {
-		b.ReportAllocs()
-		eng := mittos.NewEngine()
-		s := mittos.NewStack(eng, mittos.StackConfig{
-			Device: mittos.DeviceDisk, Scheduler: mittos.SchedulerNoop, Mitt: true, Seed: 1})
-		for i := 0; i < 16; i++ {
-			s.Read(int64(i+1)*(40<<30), 1<<20, 0, func(error) {})
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_ = s.PredictWait(int64(i%900)<<30, 4096)
-		}
-	})
-
-	add("EngineThroughput", func(b *testing.B) {
-		b.ReportAllocs()
-		eng := mittos.NewEngine()
-		n := 0
-		var tick func()
-		tick = func() {
-			n++
-			if n < b.N {
-				eng.After(time.Microsecond, tick)
-			}
-		}
-		eng.After(time.Microsecond, tick)
-		b.ResetTimer()
-		eng.Run()
-	})
-
-	// Hedged-style schedule-then-cancel churn, timing wheel vs the retained
-	// min-heap oracle (same bodies as BenchmarkEngineCancelHeavy).
-	const (
-		cancelStreams = 4096
-		cancelTickGap = 3 * time.Microsecond
-		cancelTimeout = 30 * time.Millisecond
-	)
-	add("EngineCancelHeavy/wheel", func(b *testing.B) {
-		b.ReportAllocs()
-		eng := sim.NewEngine()
-		nop := func() {}
-		timeouts := make([]*sim.Event, cancelStreams)
-		n, cur := 0, 0
-		var tick func()
-		tick = func() {
-			s := cur
-			cur = (cur + 1) % cancelStreams
-			if timeouts[s] != nil {
-				timeouts[s].Cancel()
-			}
-			timeouts[s] = eng.Schedule(cancelTimeout, nop)
-			n++
-			if n < b.N {
-				eng.After(cancelTickGap, tick)
-			}
-		}
-		eng.After(cancelTickGap, tick)
-		b.ResetTimer()
-		eng.Run()
-	})
-	add("EngineCancelHeavy/heap", func(b *testing.B) {
-		b.ReportAllocs()
-		eng := sim.NewEventHeap()
-		nop := func() {}
-		timeouts := make([]*sim.HeapEvent, cancelStreams)
-		n, cur := 0, 0
-		var tick func()
-		tick = func() {
-			s := cur
-			cur = (cur + 1) % cancelStreams
-			if timeouts[s] != nil {
-				timeouts[s].Cancel()
-			}
-			timeouts[s] = eng.Schedule(cancelTimeout, nop)
-			n++
-			if n < b.N {
-				eng.After(cancelTickGap, tick)
-			}
-		}
-		eng.After(cancelTickGap, tick)
-		b.ResetTimer()
-		eng.Run()
-	})
-
-	// µs device events interleaved with ms/s deadlines — the cascade-heavy
-	// shape of a real experiment leg (same bodies as
-	// BenchmarkEngineMixedHorizon).
-	add("EngineMixedHorizon/wheel", func(b *testing.B) {
-		b.ReportAllocs()
-		eng := sim.NewEngine()
-		nop := func() {}
-		i := 0
-		var tick func()
-		tick = func() {
-			i++
-			switch {
-			case i%4096 == 0:
-				eng.After(5*time.Second, nop)
-			case i%256 == 0:
-				eng.After(300*time.Millisecond, nop)
-			case i%16 == 0:
-				eng.After(4*time.Millisecond, nop)
-			}
-			if i < b.N {
-				eng.After(2*time.Microsecond, tick)
-			}
-		}
-		eng.After(2*time.Microsecond, tick)
-		b.ResetTimer()
-		eng.Run()
-	})
-	add("EngineMixedHorizon/heap", func(b *testing.B) {
-		b.ReportAllocs()
-		eng := sim.NewEventHeap()
-		nop := func() {}
-		i := 0
-		var tick func()
-		tick = func() {
-			i++
-			switch {
-			case i%4096 == 0:
-				eng.After(5*time.Second, nop)
-			case i%256 == 0:
-				eng.After(300*time.Millisecond, nop)
-			case i%16 == 0:
-				eng.After(4*time.Millisecond, nop)
-			}
-			if i < b.N {
-				eng.After(2*time.Microsecond, tick)
-			}
-		}
-		eng.After(2*time.Microsecond, tick)
-		b.ResetTimer()
-		eng.Run()
-	})
-
-	for _, procs := range []int{4, 32, 256} {
-		procs := procs
-		add(fmt.Sprintf("PredictWaitCFQ/%d", procs), func(b *testing.B) {
-			b.ReportAllocs()
-			eng := mittos.NewEngine()
-			s := mittos.NewStack(eng, mittos.StackConfig{
-				Device: mittos.DeviceDisk, Scheduler: mittos.SchedulerCFQ, Mitt: true, Seed: 1})
-			var ids blockio.IDGen
-			for p := 0; p < procs; p++ {
-				for k := 0; k < 2; k++ {
-					req := &mittos.Request{ID: ids.Next(), Op: mittos.OpRead,
-						Offset: int64(p*7+k+1) * (1 << 30), Size: 1 << 20, Proc: p + 2}
-					s.Target().SubmitSLO(req, func(error) {})
-				}
-			}
-			_ = s.PredictWait(100<<30, 4096)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = s.PredictWait(int64(i%900)<<30, 4096)
-			}
-		})
-	}
-
-	add("YCSBMix", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := experiments.Run("ycsbmix", experiments.RunConfig{Quick: true, Seed: 1}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	add("LoadSweep", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := experiments.Run("loadsweep", experiments.RunConfig{Quick: true, Seed: 1}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	add("PutAdmission", func(b *testing.B) {
-		b.ReportAllocs()
-		eng := mittos.NewEngine()
-		s := mittos.NewStack(eng, mittos.StackConfig{
-			Device: mittos.DeviceDisk, Scheduler: mittos.SchedulerCFQ, Mitt: true, Seed: 1})
-		cfg := kv.DefaultConfig(0, 100<<30)
-		cfg.MemtableCap = 1 << 30 // isolate the WAL path: never flush
-		var ids blockio.IDGen
-		st := kv.New(eng, cfg, s.Target(), &ids)
-		done := func(error) {}
-		put := func() {
-			st.PutDurable(7, time.Second, done)
-			eng.Run()
-		}
-		for i := 0; i < 64; i++ {
-			put()
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			put()
-		}
-	})
-
-	add("CFQSubmitDispatch", func(b *testing.B) {
-		b.ReportAllocs()
-		eng := mittos.NewEngine()
-		s := mittos.NewStack(eng, mittos.StackConfig{
-			Device: mittos.DeviceDisk, Scheduler: mittos.SchedulerCFQ, Mitt: true, Seed: 1})
-		var pool blockio.Pool
-		var ids blockio.IDGen
-		var cur *blockio.Request
-		done := func(error) { cur.Release() }
-		submit := func(off int64) {
-			cur = pool.Get()
-			cur.ID = ids.Next()
-			cur.Op = blockio.Read
-			cur.Offset, cur.Size = off, 4096
-			cur.Proc = 1
-			cur.Deadline = time.Second
-			s.Target().SubmitSLO(cur, done)
-			eng.Run()
-		}
-		for i := 0; i < 64; i++ {
-			submit(int64(i+1) * (10 << 30))
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			submit(int64(i%900) << 30)
-		}
-	})
-
-	add("SeekCost", func(b *testing.B) {
-		b.ReportAllocs()
-		prof := disk.ProfileTwin(disk.DefaultConfig(), 42, disk.DefaultProfilerOptions())
-		b.ResetTimer()
-		var sink time.Duration
-		for i := 0; i < b.N; i++ {
-			sink += prof.SeekCost(int64(i%997) << 27)
-		}
-		benchSink = sink
-	})
-
-	j, err := json.MarshalIndent(results, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(j, '\n'), 0o644)
 }
 
 // writeMetrics renders each leg's snapshot: the deterministic text dump,

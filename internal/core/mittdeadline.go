@@ -125,10 +125,11 @@ func (m *MittDeadline) SubmitSLO(req *blockio.Request, onDone func(error)) {
 			}
 			m.dec.observe(rawBusy, wait, actualWait, r.Deadline)
 		}
+		err := r.Err // read before prev: the previous hook may recycle r
 		if prev != nil {
 			prev(r)
 		}
-		onDone(nil)
+		onDone(err)
 	}
 	m.sched.Submit(req)
 }

@@ -20,7 +20,9 @@ func (r *recInjector) log(format string, args ...any) {
 	r.calls = append(r.calls, fmt.Sprintf("%v ", r.eng.Now())+fmt.Sprintf(format, args...))
 }
 
-func (r *recInjector) FailSlow(node int, factor float64) { r.log("failslow node=%d x=%g", node, factor) }
+func (r *recInjector) FailSlow(node int, factor float64) {
+	r.log("failslow node=%d x=%g", node, factor)
+}
 func (r *recInjector) SetIOErrorRate(node int, rate float64) {
 	r.log("eio node=%d rate=%g", node, rate)
 }
@@ -119,19 +121,19 @@ func TestParseScheduleRoundTrip(t *testing.T) {
 
 func TestParseScheduleErrors(t *testing.T) {
 	bad := []string{
-		"meteorstrike node=0 at=1s",       // unknown kind
-		"failslow node=0 at=1s",           // missing factor
-		"failslow node=0 at=1s x=0",       // zero factor
-		"eio node=0 at=1s rate=1.5",       // rate out of range
-		"eio node=0 at=1s rate=nope",      // unparseable float
-		"crash node=-2 at=1s",             // negative node
-		"crash node=0 at=-1s",             // negative onset
-		"crash node=0 at 1s",              // not key=value
-		"crash node=0 at=1s x=3",          // field from another kind
-		"netslow at=1s",                   // no magnitude
-		"netslow node=2 at=1s add=100us",  // netslow takes no node
-		"miscal node=0 at=1s",             // no bias, no scale
-		"cachedrop node=0 at=1s frac=0",   // zero fraction
+		"meteorstrike node=0 at=1s",              // unknown kind
+		"failslow node=0 at=1s",                  // missing factor
+		"failslow node=0 at=1s x=0",              // zero factor
+		"eio node=0 at=1s rate=1.5",              // rate out of range
+		"eio node=0 at=1s rate=nope",             // unparseable float
+		"crash node=-2 at=1s",                    // negative node
+		"crash node=0 at=-1s",                    // negative onset
+		"crash node=0 at 1s",                     // not key=value
+		"crash node=0 at=1s x=3",                 // field from another kind
+		"netslow at=1s",                          // no magnitude
+		"netslow node=2 at=1s add=100us",         // netslow takes no node
+		"miscal node=0 at=1s",                    // no bias, no scale
+		"cachedrop node=0 at=1s frac=0",          // zero fraction
 		"cachedrop node=0 at=1s for=1s frac=0.5", // cachedrop is one-shot
 	}
 	for _, in := range bad {

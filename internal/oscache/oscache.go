@@ -241,13 +241,19 @@ func (op *cacheOp) fire() {
 }
 
 // fill runs when a read-through or prefetch sub-IO finishes: populate the
-// fetched pages and, for a read-through, complete the waiting client.
-func (op *cacheOp) fill(*blockio.Request) {
+// fetched pages and, for a read-through, complete the waiting client. A
+// failed sub-IO fetched nothing, so it inserts no pages and hands its error
+// to the client.
+func (op *cacheOp) fill(sub *blockio.Request) {
 	c, req := op.c, op.req
 	first, last := op.first, op.last
 	c.freeOp(op)
-	for p := first; p <= last; p++ {
-		c.insert(p, false)
+	if sub.Err == nil {
+		for p := first; p <= last; p++ {
+			c.insert(p, false)
+		}
+	} else if req != nil {
+		req.Err = sub.Err
 	}
 	if req != nil {
 		c.complete(req)
@@ -391,7 +397,7 @@ func (s *PageSlab) put(pg *page) {
 	s.free = pg
 }
 
-func (c *Cache) getPage() *page  { return c.slab.get() }
+func (c *Cache) getPage() *page    { return c.slab.get() }
 func (c *Cache) freePage(pg *page) { c.slab.put(pg) }
 
 func (c *Cache) pushFront(pg *page) {

@@ -9,10 +9,12 @@ import (
 	"mittos/internal/sim"
 )
 
-// fakeDevice completes every IO after a fixed delay and records them.
+// fakeDevice completes every IO after a fixed delay, failing it with err
+// when set, and records them.
 type fakeDevice struct {
 	eng      *sim.Engine
 	delay    time.Duration
+	err      error
 	inflight int
 	seen     []*blockio.Request
 }
@@ -22,6 +24,7 @@ func (f *fakeDevice) Submit(req *blockio.Request) {
 	f.seen = append(f.seen, req)
 	req.DispatchTime = f.eng.Now()
 	f.eng.Schedule(f.delay, func() {
+		req.Err = f.err
 		req.CompleteTime = f.eng.Now()
 		f.inflight--
 		if req.OnComplete != nil {
@@ -217,6 +220,16 @@ func TestPrefetchPopulatesInBackground(t *testing.T) {
 	eng.Run()
 	if len(dev.seen) != 1 {
 		t.Fatal("redundant prefetch hit the device")
+	}
+}
+
+func TestFailedPrefetchInsertsNothing(t *testing.T) {
+	eng, c, dev := newTestCache(100)
+	dev.err = blockio.ErrIO
+	c.Prefetch(0, 4096, blockio.ClassBestEffort, 4, 1)
+	eng.Run()
+	if c.Resident(0, 4096) || c.WasEverResident(0, 4096) {
+		t.Fatal("failed prefetch populated the cache")
 	}
 }
 

@@ -18,12 +18,12 @@ var fuzzDelays = [...]Duration{
 	1 << 24, // level 3
 	1 << 32, // level 4
 	Duration(300 * time.Second),
-	1 << 48, // overflow horizon
+	1 << 48,           // overflow horizon
 	Duration(1 << 62), // near MaxTime; saturates under accumulation
 }
 
 // FuzzEngineWheel differentially fuzzes the timing-wheel engine against the
-// retained min-heap (EventHeap, heaporacle.go) with a byte-program of
+// retained min-heap (EventHeap, heaporacle_test.go) with a byte-program of
 // schedule/After/cancel/Step/RunUntil/Reset/halted-RunUntil ops. Both
 // queues implement the same (time, seq) contract, so every observable must
 // match exactly: fire order, Now() trajectory after every op, Pending, and

@@ -3,14 +3,9 @@ package sim
 // EventHeap is the engine's former event queue — a hand-specialized binary
 // min-heap over (time, seq) with tombstone cancellation, 50%-tombstone
 // compaction, and an owned-event freelist — retained verbatim after the
-// timing-wheel rewrite for two jobs:
-//
-//   - the differential-testing oracle: FuzzEngineWheel drives an Engine and
-//     an EventHeap with the same byte program and demands identical fire
-//     order and Now() trajectories;
-//   - the benchmark baseline: BenchmarkEngineCancelHeavy and
-//     BenchmarkEngineMixedHorizon run the same workload on both queues so
-//     the wheel's win is measured, not asserted.
+// timing-wheel rewrite as the differential-testing oracle: FuzzEngineWheel
+// drives an Engine and an EventHeap with the same byte program and demands
+// identical fire order and Now() trajectories.
 //
 // It is not used by Engine and has no Ticker/metrics surface; it mirrors
 // exactly the scheduling semantics the simulation depends on.

@@ -4,8 +4,7 @@ import "math/bits"
 
 // The engine's event queue is a hierarchical timing wheel (Varghese &
 // Lauck), replacing the earlier hand-specialized binary min-heap (retained
-// in heaporacle.go as the differential-testing oracle and benchmark
-// baseline).
+// in heaporacle_test.go as the differential-testing oracle).
 //
 // Layout: wheelLevels levels of wheelSlots slots each. A slot at level k
 // spans 256^k ns, so level 0 resolves exact nanoseconds, level 1 spans
@@ -52,11 +51,11 @@ const (
 	// virtual time — far past any experiment leg, so in practice only
 	// saturating MaxTime deadlines overflow.
 	wheelLevels       = 6
-	wheelWords        = wheelSlots / 64            // occupancy-bitmap words per level
-	wheelHorizonShift = wheelBits * wheelLevels    // 48
-	overflowLevel     = int16(wheelLevels)         // Event.qlevel: parked on the overflow list
-	unqueuedLevel     = int16(-1)                  // Event.qlevel: not in the queue
-	soloLevel         = int16(-2)                  // Event.qlevel: parked in Engine.solo, unplaced
+	wheelWords        = wheelSlots / 64         // occupancy-bitmap words per level
+	wheelHorizonShift = wheelBits * wheelLevels // 48
+	overflowLevel     = int16(wheelLevels)      // Event.qlevel: parked on the overflow list
+	unqueuedLevel     = int16(-1)               // Event.qlevel: not in the queue
+	soloLevel         = int16(-2)               // Event.qlevel: parked in Engine.solo, unplaced
 )
 
 // evList is one slot's intrusive doubly-linked event list (also the shape

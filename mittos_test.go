@@ -1,8 +1,12 @@
 package mittos
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 	"time"
+
+	"mittos/internal/blockio"
 )
 
 func TestStackReadIdleDiskAccepts(t *testing.T) {
@@ -258,5 +262,52 @@ func TestStackWriteCompletes(t *testing.T) {
 	eng.Run()
 	if !done {
 		t.Fatal("write never completed")
+	}
+}
+
+// TestStackReadErrorPropagates fails every device completion and reads
+// through each stack shape: every one must hand blockio.ErrIO to the caller,
+// and a page cache must not keep the pages the failed read never fetched.
+func TestStackReadErrorPropagates(t *testing.T) {
+	ssdCfg := DefaultSSDConfig()
+	ssdCfg.Channels = 4
+	ssdCfg.ChipsPerChannel = 2
+	ssdCfg.BlocksPerChip = 16
+	ssdCfg.PagesPerBlock = 64
+	ssdCfg.OverprovisionBlocks = 4
+	for _, shape := range []struct {
+		name string
+		cfg  StackConfig
+	}{
+		{"noop", StackConfig{Device: DeviceDisk, Scheduler: SchedulerNoop}},
+		{"cfq", StackConfig{Device: DeviceDisk, Scheduler: SchedulerCFQ}},
+		{"deadline", StackConfig{Device: DeviceDisk, Scheduler: SchedulerDeadline}},
+		{"ssd", StackConfig{Device: DeviceSSD, SSDConfig: ssdCfg}},
+		{"cfq+cache", StackConfig{Device: DeviceDisk, Scheduler: SchedulerCFQ, CachePages: 1000}},
+		{"ssd+cache", StackConfig{Device: DeviceSSD, SSDConfig: ssdCfg, CachePages: 1000}},
+	} {
+		for _, mitt := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/mitt=%v", shape.name, mitt), func(t *testing.T) {
+				eng := NewEngine()
+				cfg := shape.cfg
+				cfg.Mitt, cfg.Seed = mitt, 1
+				s := NewStack(eng, cfg)
+				if s.Disk != nil {
+					s.Disk.SetErrorInjection(1, NewRNG(1, "eio"))
+				} else {
+					s.SSD.SetErrorInjection(1, NewRNG(1, "eio"))
+				}
+				var err error
+				calls := 0
+				s.Read(64<<20, 4096, time.Second, func(e error) { err = e; calls++ })
+				eng.Run()
+				if calls != 1 || !errors.Is(err, blockio.ErrIO) {
+					t.Fatalf("failed read: %d completions, err %v; want 1 with ErrIO", calls, err)
+				}
+				if s.Cache != nil && s.Cache.Resident(64<<20, 4096) {
+					t.Fatal("failed read left its pages resident")
+				}
+			})
+		}
 	}
 }
