@@ -10,6 +10,7 @@ import (
 	"mittos/internal/disk"
 	"mittos/internal/kv"
 	"mittos/internal/netsim"
+	"mittos/internal/oscache"
 	"mittos/internal/sim"
 	"mittos/internal/stats"
 	"mittos/internal/ycsb"
@@ -151,6 +152,24 @@ func TestAllocBudgets(t *testing.T) {
 		})
 		if avg != 1 {
 			t.Fatalf("memoized NewZipf allocates %.1f objects; budget is 1 (the *Zipf)", avg)
+		}
+	})
+	t.Run("CacheEvictWarm", func(t *testing.T) {
+		// fig3 and fig7 swap slabs of a warm working set out and back in.
+		// An evicted page keeps its page-table entry on the ghost list, so
+		// the cycle writes no map entry and draws no page from the slab.
+		eng := NewEngine()
+		cfg := oscache.DefaultConfig()
+		cfg.CapacityPages = 1024
+		c := oscache.New(eng, cfg, disk.New(eng, disk.DefaultConfig(), sim.NewRNG(9, "alloc-cache")))
+		const span = 256 << 12 // 256 clean pages: no write-back IO
+		c.Warm(0, span)
+		avg := testing.AllocsPerRun(200, func() {
+			c.EvictRange(0, span)
+			c.Warm(0, span)
+		})
+		if avg != 0 {
+			t.Fatalf("EvictRange+Warm allocates %.1f objects per cycle; budget is 0", avg)
 		}
 	})
 	t.Run("PoissonTick", func(t *testing.T) {

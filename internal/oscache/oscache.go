@@ -27,7 +27,7 @@ type Config struct {
 	AddrCheckLatency time.Duration
 	// Slab, when non-nil, is a shared page freelist: an experiment arena
 	// passes one slab across legs (reclaiming each finished cache's pages
-	// with Reclaim) so the next leg's resident set reuses the same page
+	// with Reclaim) so the next leg's page table reuses the same page
 	// structs. Nil gets a private slab.
 	Slab *PageSlab
 	// Reqs, when non-nil, is the request pool background sub-IOs draw from,
@@ -46,13 +46,22 @@ func DefaultConfig() Config {
 	}
 }
 
-// page is one resident cache page, doubly linked into the LRU list
-// directly (no container/list element allocation) and recycled through the
-// cache's freelist on eviction.
+// page is one page-table entry, doubly linked into either the LRU list (while
+// resident) or the ghost list (once evicted) directly, with no container/list
+// element allocation. A page and its page-table entry live as long as the
+// cache; Reclaim returns the structs to the slab.
 type page struct {
 	id         int64
 	dirty      bool
+	resident   bool // on the LRU list; false = on the ghost list
 	prev, next *page
+}
+
+// pageList is an intrusive doubly linked list of pages; head is the most
+// recently pushed.
+type pageList struct {
+	head, tail *page
+	n          int
 }
 
 // Cache is the page cache. Reads that miss go to the backing device; writes
@@ -62,17 +71,22 @@ type Cache struct {
 	cfg     Config
 	backing blockio.Device
 
+	// pages is the page table: every page that has ever been resident. An
+	// evicted page keeps its entry and moves to the ghost list, because
+	// MittCache tells first-time accesses (cold misses) from re-evicted
+	// pages and signals EBUSY only for the latter ("should return EBUSY to
+	// signal memory space contention ... but not for first-time accesses",
+	// §4.4). Eviction and re-insertion therefore write no map entry.
 	pages map[int64]*page
-	// Intrusive LRU: head = most recently used, tail = eviction victim.
-	lruHead, lruTail *page
-	resident         int
-	slab             *PageSlab // page freelist, possibly shared across legs
+	// lru holds the resident pages: head = most recently used, tail =
+	// eviction victim. ghosts holds the evicted ones, in no meaningful order.
+	lru, ghosts pageList
+	slab        *PageSlab // page freelist, possibly shared across legs
 
-	// everResident distinguishes first-time accesses (cold misses) from
-	// re-evicted pages: MittCache only signals EBUSY for the latter
-	// ("should return EBUSY to signal memory space contention ... but not
-	// for first-time accesses", §4.4).
-	everResident map[int64]bool
+	// capacity is the resident-set limit: cfg.CapacityPages less the pages
+	// a co-tenant's balloon holds (ballooned, negative once deflated past
+	// zero), and never below one page.
+	capacity, ballooned int
 
 	ids      blockio.IDGen
 	inflight int
@@ -109,28 +123,30 @@ func New(eng *sim.Engine, cfg Config, backing blockio.Device) *Cache {
 		reqs = &blockio.Pool{}
 	}
 	return &Cache{
-		eng:          eng,
-		cfg:          cfg,
-		backing:      backing,
-		slab:         slab,
-		reqs:         reqs,
-		pages:        make(map[int64]*page),
-		everResident: make(map[int64]bool),
-		degrade:      1.0,
+		eng:      eng,
+		cfg:      cfg,
+		backing:  backing,
+		slab:     slab,
+		reqs:     reqs,
+		pages:    make(map[int64]*page),
+		capacity: cfg.CapacityPages,
+		degrade:  1.0,
 	}
 }
 
-// Reclaim hands every resident page back to the (shared) slab and empties
-// the LRU. Call only at experiment-leg teardown: the cache is unusable
-// afterwards, it exists so an arena can recycle the page structs of a
-// finished leg's resident set into the next leg's cache.
+// Reclaim hands every page, resident or evicted, back to the (shared) slab
+// and empties the page table. Call only at experiment-leg teardown: the
+// cache is unusable afterwards, it exists so an arena can recycle the page
+// structs of a finished leg's page table into the next leg's cache.
 func (c *Cache) Reclaim() {
-	for pg := c.lruHead; pg != nil; {
-		next := pg.next
-		c.slab.put(pg)
-		pg = next
+	for _, l := range [...]*pageList{&c.lru, &c.ghosts} {
+		for pg := l.head; pg != nil; {
+			next := pg.next
+			c.slab.put(pg)
+			pg = next
+		}
+		*l = pageList{}
 	}
-	c.lruHead, c.lruTail, c.resident = nil, nil, 0
 	c.pages = nil
 }
 
@@ -155,7 +171,8 @@ func (c *Cache) hitLatency() time.Duration {
 	return c.cfg.HitLatency
 }
 
-// Config returns the cache configuration.
+// Config returns the cache configuration. CapacityPages is the configured
+// limit, whatever Balloon currently holds.
 func (c *Cache) Config() Config { return c.cfg }
 
 // Stats returns hit/miss/eviction counters.
@@ -164,7 +181,7 @@ func (c *Cache) Stats() (hits, misses, evictions uint64) {
 }
 
 // ResidentPages returns the current resident-set size in pages.
-func (c *Cache) ResidentPages() int { return c.resident }
+func (c *Cache) ResidentPages() int { return c.lru.n }
 
 // InFlight implements blockio.Device.
 func (c *Cache) InFlight() int { return c.inflight }
@@ -179,7 +196,7 @@ func (c *Cache) span(off int64, size int) (first, last int64) {
 func (c *Cache) Resident(off int64, size int) bool {
 	first, last := c.span(off, size)
 	for p := first; p <= last; p++ {
-		if _, ok := c.pages[p]; !ok {
+		if pg := c.pages[p]; pg == nil || !pg.resident {
 			return false
 		}
 	}
@@ -192,7 +209,7 @@ func (c *Cache) Resident(off int64, size int) bool {
 func (c *Cache) WasEverResident(off int64, size int) bool {
 	first, last := c.span(off, size)
 	for p := first; p <= last; p++ {
-		if !c.everResident[p] {
+		if c.pages[p] == nil {
 			return false
 		}
 	}
@@ -362,17 +379,18 @@ func (c *Cache) complete(req *blockio.Request) {
 	}
 }
 
-// Intrusive-LRU plumbing.
+// Page-table and LRU plumbing.
 
 // pageSlabSize batches page allocations: experiment-scale workloads touch
 // hundreds of thousands of distinct pages, and one heap object per page
-// dominated the allocation profile. Pages recycle through the freelist
-// forever, so slabs only grow the footprint to the peak resident set.
+// dominated the allocation profile. A page lives as long as its cache and
+// Reclaim recycles it, so slabs only grow the footprint to the largest page
+// table of any one leg.
 const pageSlabSize = 1024
 
 // PageSlab is a page freelist with slab-batched growth. The zero value is
 // ready to use; a shared slab (Config.Slab) lets consecutive experiment legs
-// reuse one peak-resident-set worth of page structs instead of growing a
+// reuse one peak page table's worth of page structs instead of growing a
 // fresh freelist per cache.
 type PageSlab struct {
 	free *page
@@ -397,82 +415,88 @@ func (s *PageSlab) put(pg *page) {
 	s.free = pg
 }
 
-func (c *Cache) getPage() *page    { return c.slab.get() }
-func (c *Cache) freePage(pg *page) { c.slab.put(pg) }
-
-func (c *Cache) pushFront(pg *page) {
+func (l *pageList) pushFront(pg *page) {
 	pg.prev = nil
-	pg.next = c.lruHead
-	if c.lruHead != nil {
-		c.lruHead.prev = pg
+	pg.next = l.head
+	if l.head != nil {
+		l.head.prev = pg
 	}
-	c.lruHead = pg
-	if c.lruTail == nil {
-		c.lruTail = pg
+	l.head = pg
+	if l.tail == nil {
+		l.tail = pg
 	}
-	c.resident++
+	l.n++
 }
 
-func (c *Cache) unlink(pg *page) {
+func (l *pageList) remove(pg *page) {
 	if pg.prev != nil {
 		pg.prev.next = pg.next
 	} else {
-		c.lruHead = pg.next
+		l.head = pg.next
 	}
 	if pg.next != nil {
 		pg.next.prev = pg.prev
 	} else {
-		c.lruTail = pg.prev
+		l.tail = pg.prev
 	}
 	pg.prev, pg.next = nil, nil
-	c.resident--
+	l.n--
 }
 
 func (c *Cache) moveToFront(pg *page) {
-	if c.lruHead == pg {
+	if c.lru.head == pg {
 		return
 	}
-	c.unlink(pg)
-	c.pushFront(pg)
+	c.lru.remove(pg)
+	c.lru.pushFront(pg)
 }
 
 // insert makes a page resident (touching it if already resident), evicting
-// the LRU page when at capacity.
+// the LRU page when at capacity. Only a page never resident before adds a
+// page-table entry; an evicted one comes back from the ghost list.
 func (c *Cache) insert(id int64, dirty bool) {
-	if pg, ok := c.pages[id]; ok {
+	pg := c.pages[id]
+	if pg != nil && pg.resident {
 		pg.dirty = pg.dirty || dirty
 		c.moveToFront(pg)
 		return
 	}
-	for c.resident >= c.cfg.CapacityPages {
+	for c.lru.n >= c.capacity {
 		c.evictLRU()
 	}
-	pg := c.getPage()
-	pg.id, pg.dirty = id, dirty
-	c.pushFront(pg)
-	c.pages[id] = pg
-	c.everResident[id] = true
+	if pg == nil {
+		pg = c.slab.get()
+		pg.id = id
+		c.pages[id] = pg
+	} else {
+		c.ghosts.remove(pg)
+	}
+	pg.dirty, pg.resident = dirty, true
+	c.lru.pushFront(pg)
 }
 
 func (c *Cache) touchRange(off int64, size int) {
 	first, last := c.span(off, size)
 	for p := first; p <= last; p++ {
-		if pg, ok := c.pages[p]; ok {
+		if pg := c.pages[p]; pg != nil && pg.resident {
 			c.moveToFront(pg)
 		}
 	}
 }
 
 func (c *Cache) evictLRU() {
-	if c.lruTail == nil {
+	if c.lru.tail == nil {
 		return
 	}
-	c.evict(c.lruTail)
+	c.evict(c.lru.tail)
 }
 
+// evict moves a resident page to the ghost list, writing it back first if
+// dirty. Its page-table entry stays.
 func (c *Cache) evict(pg *page) {
-	c.unlink(pg)
-	delete(c.pages, pg.id)
+	c.lru.remove(pg)
+	pg.resident = false
+	c.ghosts.pushFront(pg)
 	c.evictions++
 	c.rec.Incr(metrics.RCache, metrics.CEviction)
 	if pg.dirty {
@@ -486,7 +510,6 @@ func (c *Cache) evict(pg *page) {
 		wb.AutoFree = true
 		c.backing.Submit(wb)
 	}
-	c.freePage(pg)
 }
 
 // EvictRange drops the pages covering [off, off+size), the moral equivalent
@@ -495,7 +518,7 @@ func (c *Cache) evict(pg *page) {
 func (c *Cache) EvictRange(off int64, size int) {
 	first, last := c.span(off, size)
 	for p := first; p <= last; p++ {
-		if pg, ok := c.pages[p]; ok {
+		if pg := c.pages[p]; pg != nil && pg.resident {
 			c.evict(pg)
 		}
 	}
@@ -509,7 +532,7 @@ func (c *Cache) EvictFraction(frac float64, rng *sim.RNG) {
 	}
 	c.victims = c.victims[:0]
 	// Iterate the LRU list for deterministic order, then sample.
-	for pg := c.lruHead; pg != nil; pg = pg.next {
+	for pg := c.lru.head; pg != nil; pg = pg.next {
 		if rng.Bool(frac) {
 			c.victims = append(c.victims, pg)
 		}
@@ -521,15 +544,15 @@ func (c *Cache) EvictFraction(frac float64, rng *sim.RNG) {
 	c.victims = c.victims[:0]
 }
 
-// Balloon shrinks the cache capacity by nPages (another tenant's VM balloon
-// inflating, §6's "VM ballooning effect"), evicting immediately if needed.
-// Negative nPages grows the capacity back.
+// Balloon inflates another tenant's VM balloon by nPages (§6's "VM
+// ballooning effect"), shrinking the cache capacity and evicting immediately
+// if needed; negative nPages deflates it. The balloon's running total is kept
+// apart from the configured capacity, so deflating by what was inflated
+// restores the capacity exactly, however far the inflation clamped it.
 func (c *Cache) Balloon(nPages int) {
-	c.cfg.CapacityPages -= nPages
-	if c.cfg.CapacityPages < 1 {
-		c.cfg.CapacityPages = 1
-	}
-	for c.resident > c.cfg.CapacityPages {
+	c.ballooned += nPages
+	c.capacity = max(c.cfg.CapacityPages-c.ballooned, 1)
+	for c.lru.n > c.capacity {
 		c.evictLRU()
 	}
 }

@@ -200,6 +200,20 @@ func TestBalloonShrinksResidentSet(t *testing.T) {
 	if c.ResidentPages() != 100 {
 		t.Fatalf("after deflate: %d pages, want 100", c.ResidentPages())
 	}
+
+	// A balloon larger than the cache clamps it to one page; deflating by
+	// the same amount restores the configured capacity exactly.
+	_, c, _ = newTestCache(40)
+	c.Balloon(100)
+	c.Warm(0, int(200*ps))
+	if c.ResidentPages() != 1 {
+		t.Fatalf("inflated past capacity: %d pages, want 1", c.ResidentPages())
+	}
+	c.Balloon(-100)
+	c.Warm(0, int(200*ps))
+	if c.ResidentPages() != 40 || c.Config().CapacityPages != 40 {
+		t.Fatalf("after deflate: %d pages (capacity %d), want 40", c.ResidentPages(), c.Config().CapacityPages)
+	}
 }
 
 func TestPrefetchPopulatesInBackground(t *testing.T) {

@@ -235,9 +235,10 @@ type chip struct {
 	id  int
 	srv server
 
-	// FTL state.
-	mapping     []int32 // chip-local logical page → physical page (block*ppb+idx), -1 unmapped
-	rmap        []int32 // physical page → chip-local logical page, -1 when not valid
+	// FTL state. Its zero value is the factory state, so New allocates it
+	// without filling and reset only clears it.
+	mapping     []int32 // chip-local logical page → physical page (block*ppb+idx) + 1, 0 unmapped
+	rmap        []int32 // physical page → chip-local logical page; meaningful only while the page is valid
 	pageState   []int8  // physical page: 0 free, 1 valid, 2 invalid
 	validCount  []int   // per block
 	writeFront  []int   // per block: next unwritten page index
@@ -270,27 +271,27 @@ func New(eng *sim.Engine, cfg Config) *SSD {
 	userPages := (cfg.BlocksPerChip - cfg.OverprovisionBlocks) * cfg.PagesPerBlock
 	for i := 0; i < cfg.TotalChips(); i++ {
 		c := &chip{
-			id:          i,
-			mapping:     make([]int32, userPages),
-			rmap:        make([]int32, pagesPerChip),
-			pageState:   make([]int8, pagesPerChip),
-			validCount:  make([]int, cfg.BlocksPerChip),
-			writeFront:  make([]int, cfg.BlocksPerChip),
-			eraseCount:  make([]int, cfg.BlocksPerChip),
-			activeBlock: 0,
+			id:         i,
+			mapping:    make([]int32, userPages),
+			rmap:       make([]int32, pagesPerChip),
+			pageState:  make([]int8, pagesPerChip),
+			validCount: make([]int, cfg.BlocksPerChip),
+			writeFront: make([]int, cfg.BlocksPerChip),
+			eraseCount: make([]int, cfg.BlocksPerChip),
 		}
-		for j := range c.mapping {
-			c.mapping[j] = -1
-		}
-		for j := range c.rmap {
-			c.rmap[j] = -1
-		}
-		for b := 1; b < cfg.BlocksPerChip; b++ {
-			c.freeBlocks = append(c.freeBlocks, b)
-		}
+		c.resetFreeBlocks(cfg.BlocksPerChip)
 		s.chips = append(s.chips, c)
 	}
 	return s
+}
+
+// resetFreeBlocks makes block 0 the active block and every other one free.
+func (c *chip) resetFreeBlocks(blocks int) {
+	c.freeBlocks = c.freeBlocks[:0]
+	for b := 1; b < blocks; b++ {
+		c.freeBlocks = append(c.freeBlocks, b)
+	}
+	c.activeBlock = 0
 }
 
 // Config returns the SSD configuration.
@@ -307,29 +308,13 @@ func (s *SSD) Config() Config { return s.cfg }
 func (s *SSD) reset(eng *sim.Engine) {
 	s.eng = eng
 	for _, c := range s.chips {
-		for j := range c.mapping {
-			c.mapping[j] = -1
-		}
-		for j := range c.rmap {
-			c.rmap[j] = -1
-		}
-		for j := range c.pageState {
-			c.pageState[j] = 0
-		}
-		for j := range c.validCount {
-			c.validCount[j] = 0
-		}
-		for j := range c.writeFront {
-			c.writeFront[j] = 0
-		}
-		for j := range c.eraseCount {
-			c.eraseCount[j] = 0
-		}
-		c.freeBlocks = c.freeBlocks[:0]
-		for b := 1; b < s.cfg.BlocksPerChip; b++ {
-			c.freeBlocks = append(c.freeBlocks, b)
-		}
-		c.activeBlock = 0
+		clear(c.mapping)
+		clear(c.rmap)
+		clear(c.pageState)
+		clear(c.validCount)
+		clear(c.writeFront)
+		clear(c.eraseCount)
+		c.resetFreeBlocks(s.cfg.BlocksPerChip)
 		c.srv.reset()
 	}
 	for _, ch := range s.channels {
@@ -337,9 +322,7 @@ func (s *SSD) reset(eng *sim.Engine) {
 	}
 	s.inflight = 0
 	s.reads, s.writes, s.erases, s.wlMoves = 0, 0, 0, 0
-	for i := range s.erasesSinceWL {
-		s.erasesSinceWL[i] = 0
-	}
+	clear(s.erasesSinceWL)
 	s.degrade = 1.0
 	s.errRate, s.errRNG = 0, nil
 	s.gcHook, s.submitHook, s.rec = nil, nil, nil
@@ -686,10 +669,9 @@ func (s *SSD) occupyChip(c *chip, busy time.Duration) {
 // allocPage invalidates the old mapping of chip-local logical page cl and
 // returns a fresh physical page on the active block.
 func (s *SSD) allocPage(c *chip, cl int32) int {
-	if old := c.mapping[cl]; old >= 0 {
+	if old := int(c.mapping[cl]) - 1; old >= 0 {
 		c.pageState[old] = 2 // invalid
-		c.rmap[old] = -1
-		c.validCount[int(old)/s.cfg.PagesPerBlock]--
+		c.validCount[old/s.cfg.PagesPerBlock]--
 	}
 	if c.writeFront[c.activeBlock] >= s.cfg.PagesPerBlock {
 		if len(c.freeBlocks) == 0 {
@@ -705,7 +687,7 @@ func (s *SSD) allocPage(c *chip, cl int32) int {
 	c.pageState[phys] = 1
 	c.rmap[phys] = cl
 	c.validCount[c.activeBlock]++
-	c.mapping[cl] = int32(phys)
+	c.mapping[cl] = int32(phys) + 1
 	return phys
 }
 
@@ -737,36 +719,7 @@ func (s *SSD) maybeGC(c *chip) {
 	if victim < 0 {
 		return
 	}
-	var busy time.Duration
-	moved := 0
-	// Copy valid pages forward.
-	for p := 0; p < s.cfg.PagesPerBlock; p++ {
-		phys := victim*s.cfg.PagesPerBlock + p
-		if c.pageState[phys] != 1 {
-			continue
-		}
-		// Find the chip-local logical page mapped here.
-		cl := c.rmap[phys]
-		if cl < 0 {
-			continue
-		}
-		moved++
-		busy += s.cfg.ChipReadTime
-		newPhys := s.allocPage(c, cl)
-		busy += s.pattern[newPhys%s.cfg.PagesPerBlock]
-		c.pageState[phys] = 2
-		c.rmap[phys] = -1
-	}
-	// Erase the victim.
-	busy += s.cfg.EraseTime
-	s.erases++
-	c.eraseCount[victim]++
-	c.validCount[victim] = 0
-	c.writeFront[victim] = 0
-	for p := 0; p < s.cfg.PagesPerBlock; p++ {
-		c.pageState[victim*s.cfg.PagesPerBlock+p] = 0
-	}
-	c.freeBlocks = append(c.freeBlocks, victim)
+	moved, busy := s.migrate(c, victim)
 	// Occupy the chip for the episode (the moves + erase run after the
 	// program that triggered them; timing-wise the chip is busy either way).
 	s.occupyChip(c, busy)
@@ -804,38 +757,38 @@ func (s *SSD) maybeWearLevel(c *chip) {
 	if victim < 0 || len(c.freeBlocks) == 0 {
 		return
 	}
-	var busy time.Duration
-	moved := 0
-	for p := 0; p < s.cfg.PagesPerBlock; p++ {
-		phys := victim*s.cfg.PagesPerBlock + p
-		if c.pageState[phys] != 1 {
-			continue
-		}
-		cl := c.rmap[phys]
-		if cl < 0 {
-			continue
-		}
-		moved++
-		busy += s.cfg.ChipReadTime
-		newPhys := s.allocPage(c, cl)
-		busy += s.pattern[newPhys%s.cfg.PagesPerBlock]
-		c.pageState[phys] = 2
-		c.rmap[phys] = -1
-	}
-	busy += s.cfg.EraseTime
-	s.erases++
+	moved, busy := s.migrate(c, victim)
 	s.wlMoves += uint64(moved)
-	c.eraseCount[victim]++
-	c.validCount[victim] = 0
-	c.writeFront[victim] = 0
-	for p := 0; p < s.cfg.PagesPerBlock; p++ {
-		c.pageState[victim*s.cfg.PagesPerBlock+p] = 0
-	}
-	c.freeBlocks = append(c.freeBlocks, victim)
 	s.occupyChip(c, busy)
 	if s.gcHook != nil {
 		s.gcHook(GCEvent{Chip: c.id, MovedPages: moved, BusyFor: busy, WearLevel: true})
 	}
+}
+
+// migrate copies every valid page of block victim forward to the active
+// block (intra-chip copyback: read + program per page; allocPage invalidates
+// the source page) and erases victim into the free pool. It returns the pages
+// moved and the chip time the episode consumes.
+func (s *SSD) migrate(c *chip, victim int) (moved int, busy time.Duration) {
+	ppb := s.cfg.PagesPerBlock
+	base := victim * ppb
+	for phys := base; phys < base+ppb; phys++ {
+		if c.pageState[phys] != 1 {
+			continue
+		}
+		moved++
+		busy += s.cfg.ChipReadTime
+		newPhys := s.allocPage(c, c.rmap[phys])
+		busy += s.pattern[newPhys%ppb]
+	}
+	busy += s.cfg.EraseTime
+	s.erases++
+	c.eraseCount[victim]++
+	c.validCount[victim] = 0
+	c.writeFront[victim] = 0
+	clear(c.pageState[base : base+ppb])
+	c.freeBlocks = append(c.freeBlocks, victim)
+	return moved, busy
 }
 
 // WearLevelMoves returns the total pages moved by wear leveling.

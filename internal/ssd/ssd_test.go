@@ -1,6 +1,8 @@
 package ssd
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -356,9 +358,13 @@ func TestPropertyFTLMappingBijective(t *testing.T) {
 		}
 		c := s.chips[0]
 		seen := map[int32]bool{}
-		for cl, phys := range c.mapping {
-			if phys < 0 {
-				continue
+		for cl, enc := range c.mapping {
+			if enc == 0 {
+				continue // unmapped
+			}
+			phys := enc - 1
+			if phys < 0 || int(phys) >= len(c.pageState) {
+				return false // not a physical page
 			}
 			if seen[phys] {
 				return false // two logical pages share a physical page
@@ -371,7 +377,14 @@ func TestPropertyFTLMappingBijective(t *testing.T) {
 				return false // rmap does not invert mapping
 			}
 		}
-		return true
+		// Every valid physical page is some logical page's mapping.
+		valid := 0
+		for _, st := range c.pageState {
+			if st == 1 {
+				valid++
+			}
+		}
+		return valid == len(seen)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
@@ -441,5 +454,96 @@ func TestWearLevelingDisabled(t *testing.T) {
 	}
 	if s.WearLevelMoves() != 0 {
 		t.Fatalf("wear leveling ran while disabled: %d moves", s.WearLevelMoves())
+	}
+}
+
+// ftlState renders a device's FTL and wear state for comparison. rmap is
+// included whole: reset must clear it as New leaves it, although it is read
+// only while its page is valid.
+func ftlState(s *SSD) string {
+	out := fmt.Sprintf("reads=%d writes=%d erases=%d wl=%d inflight=%d since=%v\n",
+		s.reads, s.writes, s.erases, s.wlMoves, s.inflight, s.erasesSinceWL)
+	for _, c := range s.chips {
+		out += fmt.Sprintf("chip %d: active=%d free=%v valid=%v front=%v erased=%v map=%v rmap=%v state=%v queue=%d\n",
+			c.id, c.activeBlock, c.freeBlocks, c.validCount, c.writeFront, c.eraseCount,
+			c.mapping, c.rmap, c.pageState, c.srv.occupancy())
+	}
+	for _, ch := range s.channels {
+		out += fmt.Sprintf("channel %d: queue=%d\n", ch.id, ch.srv.occupancy())
+	}
+	return out
+}
+
+// ioScript drives a small device through overwrite churn on a few hot pages
+// of every chip, enough for GC and wear leveling, with interleaved multi-page
+// reads, and returns every request's completion time in submission order.
+func ioScript(eng *sim.Engine, s *SSD, n int) []sim.Time {
+	cfg := s.Config()
+	pg := int64(cfg.PageSize)
+	var done []sim.Time
+	for i := 0; i < n; i++ {
+		r := &blockio.Request{Op: blockio.Write, Offset: int64(i%(4*cfg.TotalChips())) * pg, Size: cfg.PageSize}
+		if i%7 == 0 {
+			r.Op, r.Size = blockio.Read, 3*cfg.PageSize
+		}
+		r.SubmitTime = eng.Now()
+		idx := len(done)
+		done = append(done, -1)
+		r.OnComplete = func(r *blockio.Request) { done[idx] = eng.Now() }
+		s.Submit(r)
+		if i%5 == 4 {
+			eng.Run()
+		}
+	}
+	eng.Run()
+	return done
+}
+
+// TestPoolResetMatchesNew: a device taken through GC and wear leveling and
+// cycled through a Pool is in exactly New's factory state, and replays an IO
+// script with the same completion times as a fresh device.
+func TestPoolResetMatchesNew(t *testing.T) {
+	cfg := smallConfig()
+	cfg.WearLevelEvery = 3
+	script := 2 * cfg.BlocksPerChip * cfg.PagesPerBlock * cfg.TotalChips()
+
+	var pool Pool
+	eng := sim.NewEngine()
+	used := pool.Get(eng, cfg)
+	gcs, wls := 0, 0
+	used.SetGCHook(func(ev GCEvent) {
+		if ev.WearLevel {
+			wls++
+		} else {
+			gcs++
+		}
+	})
+	used.SetDegradation(2)
+	used.SetErrorInjection(0.5, sim.NewRNG(3, "pool-err"))
+	ioScript(eng, used, script)
+	if gcs == 0 || wls == 0 {
+		t.Fatalf("script ran %d GC and %d wear-leveling episodes; want both", gcs, wls)
+	}
+	pool.Put(used)
+
+	freshEng, fresh := newTestSSD(cfg)
+	reusedEng := sim.NewEngine()
+	reused := pool.Get(reusedEng, cfg)
+	if reused != used {
+		t.Fatal("pool built a new device instead of reusing the parked one")
+	}
+	if got, want := ftlState(reused), ftlState(fresh); got != want {
+		t.Fatalf("reset device differs from New:\n got %s\nwant %s", got, want)
+	}
+	if reused.Degradation() != 1 || reused.errRate != 0 || reused.gcHook != nil {
+		t.Fatal("reset kept degradation, error injection or the GC hook")
+	}
+	want := ioScript(freshEng, fresh, script)
+	got := ioScript(reusedEng, reused, script)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("reset device completes the IO script at different times than a fresh one")
+	}
+	if ftlState(reused) != ftlState(fresh) {
+		t.Fatal("reset and fresh devices diverge after the same IO script")
 	}
 }
