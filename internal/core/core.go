@@ -13,11 +13,18 @@
 //     addrcheck(), EBUSY only on memory-space contention, background
 //     swap-in after rejection.
 //
-// All four implement Target. Rejection is delivered as blockio.ErrBusy —
-// immediately at admission, or late (MittCFQ only) when a queued IO's
-// deadline becomes unmeetable.
+// Three more carry the principle past the paper's four managers:
+// MittDeadline over the deadline IO scheduler (§3.4), MittSMR over a
+// shingled drive's band cleaning (§8.2), and ThroughputSLO's per-tenant
+// IOPS contracts (§8.1). All seven implement Target, as does Vanilla, the
+// no-MittOS passthrough of Base runs. Rejection is delivered as
+// blockio.ErrBusy — immediately at admission, or late (MittCFQ only) when a
+// queued IO's deadline becomes unmeetable.
 //
-// Every layer also supports the paper's two measurement modes: shadow mode
+// The decision itself lives in one place, the gate every Mitt* layer
+// embeds (gate.go); a layer supplies only its predictor and its resource
+// state. The wait-predicting layers (MittNoop, MittCFQ, MittSSD,
+// MittDeadline) also support the paper's two measurement modes: shadow mode
 // (§7.6: the EBUSY verdict is recorded on the descriptor instead of being
 // returned, so actual latency can be compared against the prediction) and
 // error injection (§7.7: forced false-negative/false-positive rates).
@@ -29,7 +36,6 @@ import (
 	"time"
 
 	"mittos/internal/blockio"
-	"mittos/internal/sim"
 )
 
 // DefaultThop is the one-hop failover allowance added to deadlines at
@@ -122,82 +128,6 @@ func (a Accuracy) MeanAbsDiff() time.Duration {
 	return a.SumAbsDiff / time.Duration(a.Total())
 }
 
-// decider centralizes the admission verdict plumbing shared by all Mitt
-// layers: error injection (§7.7), shadow-mode accuracy accounting (§7.6),
-// and the Thop allowance.
-type decider struct {
-	thop    time.Duration
-	shadow  bool
-	injFN   float64 // P(suppress a busy verdict)
-	injFP   float64 // P(reject an acceptable IO)
-	injRNG  *sim.RNG
-	acc     Accuracy
-	verdict uint64 // IOs decided (deadline-carrying only)
-
-	// Miscalibration fault injection: every predicted wait becomes
-	// wait×misScale + misBias before it is compared or returned. Unlike
-	// injFN/injFP's coin flips this distorts the prediction itself — the
-	// §8.1 "profile goes stale" failure, where the predictor is wrong in
-	// a structured way rather than randomly.
-	misBias  time.Duration
-	misScale float64 // 0 = no scaling
-}
-
-// adjust applies the injected miscalibration to a predicted wait. Both
-// knobs zero (the default) returns wait unchanged through a single branch.
-func (d *decider) adjust(wait time.Duration) time.Duration {
-	if d.misBias == 0 && d.misScale == 0 {
-		return wait
-	}
-	if d.misScale != 0 {
-		wait = time.Duration(float64(wait) * d.misScale)
-	}
-	wait += d.misBias
-	if wait < 0 {
-		wait = 0
-	}
-	return wait
-}
-
-// rejects converts the raw busy prediction into the effective decision,
-// applying injected errors.
-func (d *decider) rejects(busy bool) bool {
-	if busy && d.injFN > 0 && d.injRNG != nil && d.injRNG.Bool(d.injFN) {
-		return false
-	}
-	if !busy && d.injFP > 0 && d.injRNG != nil && d.injRNG.Bool(d.injFP) {
-		return true
-	}
-	return busy
-}
-
-// threshold returns the admission bound for a deadline.
-func (d *decider) threshold(deadline time.Duration) time.Duration {
-	return deadline + d.thop
-}
-
-// observe records shadow-mode accuracy for a completed IO. verdictBusy is
-// the *raw* prediction (before injection); actualWait and predictedWait are
-// the measured and predicted queueing delays.
-func (d *decider) observe(verdictBusy bool, predictedWait, actualWait, deadline time.Duration) {
-	violated := actualWait > d.threshold(deadline)
-	switch {
-	case verdictBusy && violated:
-		d.acc.TruePos++
-	case verdictBusy && !violated:
-		d.acc.FalsePos++
-	case !verdictBusy && violated:
-		d.acc.FalseNeg++
-	default:
-		d.acc.TrueNeg++
-	}
-	diff := actualWait - predictedWait
-	if diff < 0 {
-		diff = -diff
-	}
-	d.acc.SumAbsDiff += diff
-}
-
 // Options configures a Mitt layer.
 type Options struct {
 	// Thop is the failover-hop allowance added to deadlines (§4.1).
@@ -236,80 +166,17 @@ func clampDur(d, lo, hi time.Duration) time.Duration {
 	return d
 }
 
-// busyReplies pools the deferred EBUSY deliveries (the syscall-cost timer
-// callback) so a rejection allocates only its BusyError, which escapes to
-// the caller and cannot be pooled.
-type busyReplies struct {
-	free []*busyReply
-}
-
-type busyReply struct {
-	c      *busyReplies
-	onDone func(error)
-	err    error
-	fn     func() // pre-bound r.fire
-}
-
-func (r *busyReply) fire() {
-	c, onDone, err := r.c, r.onDone, r.err
-	r.onDone, r.err = nil, nil
-	c.free = append(c.free, r)
-	onDone(err)
-}
-
-// deliver schedules onDone(err) after the syscall round trip.
-func (c *busyReplies) deliver(eng *sim.Engine, d time.Duration, onDone func(error), err error) {
-	var r *busyReply
-	if n := len(c.free); n > 0 {
-		r = c.free[n-1]
-		c.free = c.free[:n-1]
-	} else {
-		r = &busyReply{c: c}
-		r.fn = r.fire
-	}
-	r.onDone, r.err = onDone, err
-	eng.After(d, r.fn)
-}
-
 // Vanilla is the no-MittOS passthrough Target used by Base runs: deadlines
 // are ignored, every IO queues and waits, onDone receives the device's
 // completion verdict (nil unless error injection is on).
 type Vanilla struct {
 	Dev blockio.Device
 
-	opFree []*vanillaOp
-}
-
-// vanillaOp is the pooled completion wrapper: bound once, reused per IO.
-type vanillaOp struct {
-	v      *Vanilla
-	prev   func(*blockio.Request)
-	onDone func(error)
-	fn     func(*blockio.Request) // pre-bound op.done
-}
-
-func (op *vanillaOp) done(r *blockio.Request) {
-	v, prev, onDone := op.v, op.prev, op.onDone
-	op.prev, op.onDone = nil, nil
-	v.opFree = append(v.opFree, op)
-	err := r.Err // read before prev: the previous hook may recycle r
-	if prev != nil {
-		prev(r)
-	}
-	onDone(err)
+	ops plainOps
 }
 
 // SubmitSLO implements Target.
 func (v *Vanilla) SubmitSLO(req *blockio.Request, onDone func(error)) {
-	var op *vanillaOp
-	if n := len(v.opFree); n > 0 {
-		op = v.opFree[n-1]
-		v.opFree = v.opFree[:n-1]
-	} else {
-		op = &vanillaOp{v: v}
-		op.fn = op.done
-	}
-	op.prev, op.onDone = req.OnComplete, onDone
-	req.OnComplete = op.fn
+	v.ops.wrap(req, onDone)
 	v.Dev.Submit(req)
 }

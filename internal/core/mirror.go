@@ -38,11 +38,17 @@ type sstfMirror struct {
 func (m *sstfMirror) DriftBias() time.Duration { return m.driftBias }
 
 type mirrorEntry struct {
+	m   *sstfMirror
 	req *blockio.Request
 	off int64
 	end int64
 	sz  int
 	at  sim.Time // when the device saw it (for command-aging modeling)
+
+	// Set by dispatched: the completion hook the entry chains, and the
+	// pre-bound e.done it installs in its place.
+	prev func(*blockio.Request)
+	fn   func(*blockio.Request)
 }
 
 func newSSTFMirror(eng *sim.Engine, prof *disk.Profile, calibrate bool) *sstfMirror {
@@ -63,18 +69,41 @@ func (m *sstfMirror) svcTime(from, off int64, sz int) time.Duration {
 }
 
 // add registers a newly submitted IO.
-func (m *sstfMirror) add(req *blockio.Request) {
+func (m *sstfMirror) add(req *blockio.Request) *mirrorEntry {
 	var e *mirrorEntry
 	if n := len(m.entryFree); n > 0 {
 		e = m.entryFree[n-1]
 		m.entryFree = m.entryFree[:n-1]
 	} else {
-		e = &mirrorEntry{}
+		e = &mirrorEntry{m: m}
 	}
 	e.req, e.off, e.end, e.sz, e.at = req, req.Offset, req.End(), req.Size, m.eng.Now()
 	m.pending = append(m.pending, e)
 	if m.inService == nil {
 		m.start()
+	}
+	return e
+}
+
+// dispatched registers an IO a scheduler has just sent to the device and
+// chains the mirror's completion onto it: the dispatch-side hook MittCFQ
+// and MittDeadline share. (MittNoop mirrors its whole queue from admission
+// and retires IOs from its settle hook instead.)
+func (m *sstfMirror) dispatched(req *blockio.Request) {
+	e := m.add(req)
+	if e.fn == nil {
+		e.fn = e.done
+	}
+	e.prev = req.OnComplete
+	req.OnComplete = e.fn
+}
+
+func (e *mirrorEntry) done(r *blockio.Request) {
+	m, prev := e.m, e.prev
+	e.prev = nil
+	m.complete(r) // recycles e
+	if prev != nil {
+		prev(r)
 	}
 }
 

@@ -23,70 +23,21 @@ import (
 // accesses; and after EBUSY the data continues to be swapped in, in the
 // background, so the cache stays warm for applications that expect memory
 // residency.
+//
+// The residency walk is exact, so the miss-cost estimate (minIO) is the
+// only prediction the layer can get wrong: SetMiscalibration distorts it to
+// minIO×scale + bias. Accuracy stays zero — page-table lookups have "no
+// accuracy issues" (§4.4).
 type MittCache struct {
-	eng   *sim.Engine
+	gate
 	cache *oscache.Cache
 	lower Target
 	// minIO is the smallest possible IO latency of the layer below; a
 	// deadline under it means "I expect a cache hit".
 	minIO time.Duration
-	opt   Options
-	dec   decider
 
-	accepted uint64
-	rejected uint64
-
-	replies  busyReplies
-	hitFree  []*cacheHitOp
+	hits     plainOps // hit and absorbed-write completions
 	missFree []*cacheMissOp
-
-	rec *metrics.Recorder
-}
-
-// cacheHitOp is the pooled completion wrapper for write-absorb and hit
-// paths (prev + onDone(nil)).
-type cacheHitOp struct {
-	m      *MittCache
-	prev   func(*blockio.Request)
-	onDone func(error)
-	fn     func(*blockio.Request) // pre-bound op.done
-}
-
-func (op *cacheHitOp) done(r *blockio.Request) {
-	m, prev, onDone := op.m, op.prev, op.onDone
-	op.prev, op.onDone = nil, nil
-	m.hitFree = append(m.hitFree, op)
-	if prev != nil {
-		prev(r)
-	}
-	onDone(nil)
-}
-
-// wrapHit chains the pooled completion wrapper onto req.
-func (m *MittCache) wrapHit(req *blockio.Request, onDone func(error)) {
-	var op *cacheHitOp
-	if n := len(m.hitFree); n > 0 {
-		op = m.hitFree[n-1]
-		m.hitFree = m.hitFree[:n-1]
-	} else {
-		op = &cacheHitOp{m: m}
-		op.fn = op.done
-	}
-	op.prev, op.onDone = req.OnComplete, onDone
-	req.OnComplete = op.fn
-}
-
-func (m *MittCache) submitHit(req *blockio.Request, onDone func(error)) {
-	m.wrapHit(req, onDone)
-	m.cache.Submit(req)
-}
-
-// submitResident is submitHit for a read whose residency the admission
-// check above just verified: the cache can skip its duplicate page-table
-// walk (the SubmitSLO fast path would otherwise walk every page twice).
-func (m *MittCache) submitResident(req *blockio.Request, onDone func(error)) {
-	m.wrapHit(req, onDone)
-	m.cache.SubmitResident(req)
 }
 
 // cacheMissOp is the pooled lower-layer callback for the miss path: warm
@@ -108,33 +59,12 @@ func (op *cacheMissOp) done(err error) {
 	onDone(err)
 }
 
-// SetRecorder attaches a metrics recorder (nil disables, the default).
-func (m *MittCache) SetRecorder(rec *metrics.Recorder) { m.rec = rec }
-
 // NewMittCache builds the layer over a page cache and the (Mitt-wrapped)
 // IO path below it. minIO is the smallest possible IO latency of the
 // backing device (e.g. ~100µs for flash, ~300µs sequential disk).
 func NewMittCache(eng *sim.Engine, cache *oscache.Cache, lower Target, minIO time.Duration, opt Options) *MittCache {
-	m := &MittCache{eng: eng, cache: cache, lower: lower, minIO: minIO, opt: opt}
-	m.dec.thop = opt.Thop
-	m.dec.shadow = opt.Shadow
-	return m
+	return &MittCache{gate: newGate(eng, metrics.RMittCache, opt), cache: cache, lower: lower, minIO: minIO}
 }
-
-// SetMiscalibration distorts the layer's miss-cost estimate (minIO) to
-// minIO×scale + bias (scale 0 = no scaling; (0,0) restores it). MittCache's
-// residency walk is exact, so this is the only prediction it can get wrong.
-func (m *MittCache) SetMiscalibration(bias time.Duration, scale float64) {
-	m.dec.misBias, m.dec.misScale = bias, scale
-}
-
-// Accuracy returns shadow-mode counters. MittCache predictions are exact
-// page-table lookups ("there is no accuracy issues", §4.4), so FP/FN stay
-// zero; the method exists for interface symmetry and tests.
-func (m *MittCache) Accuracy() Accuracy { return m.dec.acc }
-
-// Counts returns accepted/rejected totals.
-func (m *MittCache) Counts() (accepted, rejected uint64) { return m.accepted, m.rejected }
 
 // Resident reports whether [off, off+size) is fully cached.
 func (m *MittCache) Resident(off int64, size int) bool { return m.cache.Resident(off, size) }
@@ -150,11 +80,11 @@ func (m *MittCache) AddrCheck(off int64, size int, deadline time.Duration) error
 	if m.cache.Resident(off, size) {
 		return nil
 	}
-	missCost := m.dec.adjust(m.minIO)
+	missCost := m.adjust(m.minIO)
 	if deadline > blockio.NoDeadline && deadline < missCost && m.cache.WasEverResident(off, size) {
 		m.rejected++
 		// addrcheck has no request descriptor; only the counter moves.
-		m.rec.Incr(metrics.RMittCache, metrics.CRejected)
+		m.rec.Incr(m.res, metrics.CRejected)
 		// Keep swapping the data in behind the EBUSY (§4.4).
 		m.cache.Prefetch(off, size, blockio.ClassBestEffort, 4, -1)
 		return &BusyError{PredictedWait: missCost}
@@ -164,20 +94,23 @@ func (m *MittCache) AddrCheck(off int64, size int, deadline time.Duration) error
 
 // SubmitSLO implements Target for the read()-with-deadline path.
 func (m *MittCache) SubmitSLO(req *blockio.Request, onDone func(error)) {
-	now := m.eng.Now()
 	if req.SubmitTime == 0 {
-		req.SubmitTime = now
+		req.SubmitTime = m.eng.Now()
 	}
 	if req.Op == blockio.Write {
 		// Writes are absorbed by the cache; no deadline semantics (§7.8.6).
-		m.submitHit(req, onDone)
+		m.hits.wrap(req, onDone)
+		m.cache.Submit(req)
 		return
 	}
 
 	if m.cache.Resident(req.Offset, req.Size) {
 		m.accepted++
-		m.rec.Incr(metrics.RMittCache, metrics.CAccepted)
-		m.submitResident(req, onDone) // hit path, residency just verified
+		m.rec.Incr(m.res, metrics.CAccepted)
+		// Hit path: the residency walk just done lets the cache skip its
+		// duplicate page-table walk.
+		m.hits.wrap(req, onDone)
+		m.cache.SubmitResident(req)
 		return
 	}
 
@@ -185,20 +118,18 @@ func (m *MittCache) SubmitSLO(req *blockio.Request, onDone func(error)) {
 	// possible IO latency plus evidence of prior residency = memory-space
 	// contention → EBUSY, with background swap-in.
 	hasSLO := req.Deadline > blockio.NoDeadline
-	missCost := m.dec.adjust(m.minIO)
-	if hasSLO && req.Deadline < missCost && !m.dec.shadow &&
+	missCost := m.adjust(m.minIO)
+	if hasSLO && req.Deadline < missCost && !m.shadow &&
 		m.cache.WasEverResident(req.Offset, req.Size) {
-		m.rejected++
-		m.rec.Rejected(metrics.RMittCache, req, missCost, false)
 		m.cache.Prefetch(req.Offset, req.Size, req.Class, req.Priority, req.Proc)
-		m.replies.deliver(m.eng, m.opt.SyscallCost, onDone, &BusyError{PredictedWait: missCost})
+		m.reject(req, missCost, onDone)
 		return
 	}
 
 	// Propagate the deadline to the IO layer below (§4.4), reading whole
 	// pages and populating the cache on success.
 	m.accepted++
-	m.rec.Incr(metrics.RMittCache, metrics.CAccepted)
+	m.rec.Incr(m.res, metrics.CAccepted)
 	var op *cacheMissOp
 	if n := len(m.missFree); n > 0 {
 		op = m.missFree[n-1]

@@ -26,7 +26,6 @@ type MittSMR struct {
 	noop  *MittNoop
 	drive *smr.Drive
 	eng   *sim.Engine
-	opt   Options
 
 	cleanBusyUntil sim.Time
 
@@ -40,7 +39,6 @@ func NewMittSMR(eng *sim.Engine, sched *iosched.Noop, drive *smr.Drive,
 		noop:  NewMittNoop(eng, sched, prof, opt),
 		drive: drive,
 		eng:   eng,
-		opt:   opt,
 	}
 	drive.SetCleanStartHook(func(band int64, est time.Duration) {
 		until := eng.Now().Add(est)
@@ -99,12 +97,11 @@ func (m *MittSMR) PredictWaitFor(off int64, sz int) time.Duration {
 // SubmitSLO implements Target.
 func (m *MittSMR) SubmitSLO(req *blockio.Request, onDone func(error)) {
 	if req.Deadline > blockio.NoDeadline && req.Op == blockio.Read {
-		if c := m.cleanPenalty(); c > req.Deadline+m.opt.Thop {
+		if c := m.cleanPenalty(); c > m.noop.threshold(req.Deadline) {
 			// The drive is mid-clean and will not surface this read in
 			// time: fast rejection without queueing.
 			m.rejectedByClean++
-			busyErr := &BusyError{PredictedWait: c}
-			m.eng.After(m.opt.SyscallCost, func() { onDone(busyErr) })
+			m.noop.replies.busy(onDone, c)
 			return
 		}
 	}

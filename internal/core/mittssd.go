@@ -28,10 +28,8 @@ import (
 // and garbage-collection episodes (via the GC hook), which it folds into
 // the per-chip next-free times.
 type MittSSD struct {
-	eng *sim.Engine
+	waitGate
 	dev *ssd.SSD
-	opt Options
-	dec decider
 
 	chipNextFree []sim.Time
 	chanOut      []int // outstanding page IOs per channel
@@ -46,56 +44,11 @@ type MittSSD struct {
 	pattern  []time.Duration
 	writeIdx []int
 
-	accepted uint64
-	rejected uint64
-
-	replies busyReplies
-	opFree  []*ssdOp
 	decFree []*chanDec
 	// chanPages is admission scratch: pages of the current request per
 	// channel. Invariant: all-zero between submissions — each accepted
 	// submission re-zeroes exactly the channels it touched.
 	chanPages []int
-
-	rec *metrics.Recorder
-}
-
-// ssdOp is the pooled per-IO completion context.
-type ssdOp struct {
-	m       *MittSSD
-	hasSLO  bool
-	rawBusy bool
-	wait    time.Duration
-	svc     time.Duration
-	prev    func(*blockio.Request)
-	onDone  func(error)
-	fn      func(*blockio.Request) // pre-bound op.done
-}
-
-func (op *ssdOp) done(r *blockio.Request) {
-	m, prev, onDone := op.m, op.prev, op.onDone
-	hasSLO, rawBusy, wait, svc := op.hasSLO, op.rawBusy, op.wait, op.svc
-	op.prev, op.onDone = nil, nil
-	m.opFree = append(m.opFree, op)
-	if hasSLO && m.dec.shadow {
-		actualWait := r.Latency() - svc
-		if actualWait < 0 {
-			actualWait = 0
-		}
-		m.dec.observe(rawBusy, wait, actualWait, r.Deadline)
-	}
-	if m.rec != nil {
-		actualWait := r.Latency() - svc
-		if actualWait < 0 {
-			actualWait = 0
-		}
-		m.rec.Prediction(metrics.RMittSSD, r, wait, actualWait)
-	}
-	err := r.Err
-	if prev != nil {
-		prev(r)
-	}
-	onDone(err)
 }
 
 // chanDec is one pooled channel-occupancy decrement, scheduled at a page's
@@ -114,9 +67,6 @@ func (d *chanDec) fire() {
 	}
 }
 
-// SetRecorder attaches a metrics recorder (nil disables, the default).
-func (m *MittSSD) SetRecorder(rec *metrics.Recorder) { m.rec = rec }
-
 // NewMittSSD builds the layer over a host-managed SSD. The read/channel
 // costs come from the vendor NAND spec or profiling (§4.3); we take them
 // from the device config the same way the paper takes them from the
@@ -124,9 +74,8 @@ func (m *MittSSD) SetRecorder(rec *metrics.Recorder) { m.rec = rec }
 func NewMittSSD(eng *sim.Engine, dev *ssd.SSD, opt Options) *MittSSD {
 	cfg := dev.Config()
 	m := &MittSSD{
-		eng:          eng,
+		waitGate:     waitGate{gate: newGate(eng, metrics.RMittSSD, opt)},
 		dev:          dev,
-		opt:          opt,
 		chipNextFree: make([]sim.Time, cfg.TotalChips()),
 		chanOut:      make([]int, cfg.Channels),
 		pageRead:     cfg.ChipReadTime + cfg.ChannelXferTime,
@@ -135,8 +84,6 @@ func NewMittSSD(eng *sim.Engine, dev *ssd.SSD, opt Options) *MittSSD {
 		writeIdx:     make([]int, cfg.TotalChips()),
 		chanPages:    make([]int, cfg.Channels),
 	}
-	m.dec.thop = opt.Thop
-	m.dec.shadow = opt.Shadow
 	dev.SetGCHook(func(ev ssd.GCEvent) {
 		// Host-initiated GC: the chip is busy for the whole episode, and
 		// the page moves advance the write frontier.
@@ -149,23 +96,6 @@ func NewMittSSD(eng *sim.Engine, dev *ssd.SSD, opt Options) *MittSSD {
 	})
 	return m
 }
-
-// SetErrorInjection enables §7.7 fault injection.
-func (m *MittSSD) SetErrorInjection(fnRate, fpRate float64, rng *sim.RNG) {
-	m.dec.injFN, m.dec.injFP, m.dec.injRNG = fnRate, fpRate, rng
-}
-
-// SetMiscalibration distorts every wait prediction to wait×scale + bias
-// (scale 0 = no scaling; (0,0) restores the calibrated predictor).
-func (m *MittSSD) SetMiscalibration(bias time.Duration, scale float64) {
-	m.dec.misBias, m.dec.misScale = bias, scale
-}
-
-// Accuracy returns shadow-mode counters.
-func (m *MittSSD) Accuracy() Accuracy { return m.dec.acc }
-
-// Counts returns accepted/rejected totals.
-func (m *MittSSD) Counts() (accepted, rejected uint64) { return m.accepted, m.rejected }
 
 // PredictWait returns the worst sub-page wait for a request at [off, size).
 func (m *MittSSD) PredictWait(off int64, size int) time.Duration {
@@ -189,12 +119,6 @@ func (m *MittSSD) PredictWait(off int64, size int) time.Duration {
 
 // SubmitSLO implements Target.
 func (m *MittSSD) SubmitSLO(req *blockio.Request, onDone func(error)) {
-	now := m.eng.Now()
-	if req.SubmitTime == 0 {
-		req.SubmitTime = now
-	}
-	wait := m.dec.adjust(m.PredictWait(req.Offset, req.Size))
-	req.PredictedWait = wait
 	// Per-request predicted service: pages run in parallel across chips,
 	// but pages sharing a channel serialize their transfers.
 	_, nPages := m.dev.PageSpan(req.Offset, req.Size)
@@ -204,28 +128,13 @@ func (m *MittSSD) SubmitSLO(req *blockio.Request, onDone func(error)) {
 		svc = m.chanDelay + m.dev.Config().LowerPageProgram +
 			time.Duration(perChan-1)*m.chanDelay
 	}
-	req.PredictedService = svc
-
-	hasSLO := req.Deadline > blockio.NoDeadline
-	rawBusy := hasSLO && wait > m.dec.threshold(req.Deadline)
-	if hasSLO {
-		if m.dec.shadow {
-			req.ShadowBusy = rawBusy
-			if rawBusy {
-				m.rec.ShadowBusy(metrics.RMittSSD)
-			}
-		} else if m.dec.rejects(rawBusy) {
-			// "If any sub-IO violates the deadline, EBUSY is returned for
-			// the entire request; all sub-pages are not submitted." (§4.3)
-			m.rejected++
-			m.rec.Rejected(metrics.RMittSSD, req, wait, false)
-			m.replies.deliver(m.eng, m.opt.SyscallCost, onDone, &BusyError{PredictedWait: wait})
-			return
-		}
+	// "If any sub-IO violates the deadline, EBUSY is returned for the
+	// entire request; all sub-pages are not submitted." (§4.3)
+	if m.admit(req, m.PredictWait(req.Offset, req.Size), svc, onDone) == nil {
+		return
 	}
 
-	m.accepted++
-	m.rec.Admitted(metrics.RMittSSD, req)
+	now := m.eng.Now()
 	// Advance per-chip next-free times and channel occupancy. Channel
 	// occupancy reflects pending *transfers*: each page holds its channel
 	// for ~one transfer slot, so the decrement is scheduled at the page's
@@ -278,16 +187,5 @@ func (m *MittSSD) SubmitSLO(req *blockio.Request, onDone func(error)) {
 		}
 	}
 
-	var op *ssdOp
-	if n := len(m.opFree); n > 0 {
-		op = m.opFree[n-1]
-		m.opFree = m.opFree[:n-1]
-	} else {
-		op = &ssdOp{m: m}
-		op.fn = op.done
-	}
-	op.hasSLO, op.rawBusy, op.wait, op.svc = hasSLO, rawBusy, wait, svc
-	op.prev, op.onDone = req.OnComplete, onDone
-	req.OnComplete = op.fn
 	m.dev.Submit(req)
 }

@@ -20,9 +20,9 @@ import (
 type ThroughputSLO struct {
 	eng   *sim.Engine
 	inner Target
-	opt   Options
 
 	buckets map[int]*tokenBucket
+	replies busyReplies
 
 	accepted uint64
 	rejected uint64
@@ -53,8 +53,9 @@ func (b *tokenBucket) take(now sim.Time) bool {
 // NewThroughputSLO wraps inner with throughput admission.
 func NewThroughputSLO(eng *sim.Engine, inner Target, opt Options) *ThroughputSLO {
 	return &ThroughputSLO{
-		eng: eng, inner: inner, opt: opt,
+		eng: eng, inner: inner,
 		buckets: make(map[int]*tokenBucket),
+		replies: busyReplies{eng: eng, cost: opt.SyscallCost},
 	}
 }
 
@@ -101,9 +102,7 @@ func (t *ThroughputSLO) SubmitSLO(req *blockio.Request, onDone func(error)) {
 			t.rejected++
 			// The predicted wait is the time until the next token.
 			deficit := 1 - b.tokens
-			wait := time.Duration(deficit / b.rate * float64(time.Second))
-			busyErr := &BusyError{PredictedWait: wait}
-			t.eng.After(t.opt.SyscallCost, func() { onDone(busyErr) })
+			t.replies.busy(onDone, time.Duration(deficit/b.rate*float64(time.Second)))
 			return
 		}
 	}
