@@ -59,7 +59,10 @@ func TestAllocBudgets(t *testing.T) {
 	}{
 		{"AdmissionDecision", newAdmissionLoop},
 		{"CFQPredictWait", func() func() { return newCFQPredictLoop(32) }},
-		{"CFQSubmitAccept", newCFQSubmitLoop},
+		{"CFQSubmitAccept", func() func() { return newSubmitLoop(SchedulerCFQ) }},
+		// The deadline-scheduler twin: MittDeadline's op, the SSTF
+		// mirror's dispatch hook and the scheduler's device slot.
+		{"DeadlineSubmitAccept", func() func() { return newSubmitLoop(SchedulerDeadline) }},
 		{"PutAccepted", newPutLoop},
 		// A smaller NVRAM ring than the benchmark's, already grown: the
 		// ring reuses its backing slice and the disk its pooled ack and
@@ -69,6 +72,23 @@ func TestAllocBudgets(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			if avg := testing.AllocsPerRun(200, tc.step()); avg != 0 {
 				t.Fatalf("%s allocates %.1f objects per op; budget is 0", tc.name, avg)
+			}
+		})
+	}
+	// One EBUSY, delivered after the syscall round trip. The reply is
+	// pooled, so the BusyError that escapes to the caller is the whole
+	// budget.
+	for _, tc := range []struct {
+		name string
+		step func() func()
+	}{
+		{"DeadlineBusy", newDeadlineBusyLoop},
+		{"SMRBusy", newSMRBusyLoop},
+		{"ThroughputBusy", newThroughputBusyLoop},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if avg := testing.AllocsPerRun(200, tc.step()); avg != 1 {
+				t.Fatalf("%s allocates %.1f objects per EBUSY; budget is exactly 1 (the BusyError)", tc.name, avg)
 			}
 		})
 	}
@@ -293,4 +313,65 @@ func TestAllocBudgets(t *testing.T) {
 			}
 		})
 	}
+}
+
+// newBusyLoop returns one rejected 4 KB read from target, with its EBUSY
+// delivered. The step panics if the read is not rejected, so a budget
+// cannot pass by admitting.
+func newBusyLoop(eng *Engine, target Target, deadline time.Duration) (step func()) {
+	req := &Request{ID: 1, Op: OpRead, Offset: 500 << 30, Size: 4096, Proc: 1, Deadline: deadline}
+	busy := false
+	done := func(err error) { busy = IsBusy(err) }
+	step = func() {
+		busy = false
+		target.SubmitSLO(req, done)
+		eng.RunFor(core.DefaultSyscallCost)
+		if !busy {
+			panic("read not rejected")
+		}
+	}
+	for i := 0; i < 8; i++ { // warm the reply pool
+		step()
+	}
+	return step
+}
+
+// newDeadlineBusyLoop rejects reads at MittDeadline behind a backlog of
+// sixteen 1 MB reads.
+func newDeadlineBusyLoop() (step func()) {
+	eng := NewEngine()
+	s := NewStack(eng, StackConfig{Device: DeviceDisk, Scheduler: SchedulerDeadline, Mitt: true, Seed: 1})
+	for i := 0; i < 16; i++ {
+		s.Read(int64(i+1)*(40<<30), 1<<20, 0, func(error) {})
+	}
+	return newBusyLoop(eng, s.Target(), time.Millisecond)
+}
+
+// newSMRBusyLoop rejects reads at MittSMR while a band clean runs.
+func newSMRBusyLoop() (step func()) {
+	eng := NewEngine()
+	cfg := DefaultSMRConfig()
+	cfg.CacheBytes = 64 << 20
+	mitt, drive := NewSMRStack(eng, cfg, 1)
+	rng := NewRNG(5, "smr-fill")
+	for drive.CacheFill() < cfg.CleanHighWater {
+		mitt.SubmitSLO(&Request{Op: OpWrite, Offset: rng.Int63n(900<<30) &^ 4095, Size: 1 << 20},
+			func(error) {})
+		eng.RunFor(time.Millisecond)
+	}
+	for mitt.CleanRemaining() == 0 {
+		eng.RunFor(10 * time.Millisecond)
+	}
+	return newBusyLoop(eng, mitt, time.Millisecond)
+}
+
+// newThroughputBusyLoop rejects reads at ThroughputSLO from a tenant whose
+// one-token bucket is spent.
+func newThroughputBusyLoop() (step func()) {
+	eng := NewEngine()
+	s := NewStack(eng, StackConfig{Device: DeviceDisk, Mitt: true, Seed: 1})
+	ts := NewThroughputSLO(eng, s.Target(), DefaultOptions())
+	ts.SetContract(1, 1, 1)
+	ts.SubmitSLO(&Request{Op: OpRead, Size: 4096, Proc: 1}, func(error) {})
+	return newBusyLoop(eng, ts, 0)
 }

@@ -336,12 +336,13 @@ func BenchmarkPredictWaitCFQ(b *testing.B) {
 	}
 }
 
-// newCFQSubmitLoop builds a MittCFQ disk stack and returns one pooled 4 KB
-// read with an SLO run to completion: admission, tolerable-table entry, CFQ
-// dispatch, disk service, completion, and recycling of every pooled context.
-func newCFQSubmitLoop() (step func()) {
+// newSubmitLoop builds a Mitt disk stack over the given scheduler and
+// returns one pooled 4 KB read with an SLO run to completion: admission
+// (and, under CFQ, the tolerable-table entry), dispatch, disk service,
+// completion, and recycling of every pooled context.
+func newSubmitLoop(sched SchedulerKind) (step func()) {
 	eng := NewEngine()
-	s := NewStack(eng, StackConfig{Device: DeviceDisk, Scheduler: SchedulerCFQ, Mitt: true, Seed: 1})
+	s := NewStack(eng, StackConfig{Device: DeviceDisk, Scheduler: sched, Mitt: true, Seed: 1})
 	var pool blockio.Pool
 	var ids blockio.IDGen
 	var cur *blockio.Request
@@ -369,7 +370,7 @@ func newCFQSubmitLoop() (step func()) {
 // BenchmarkCFQSubmitDispatch measures the full MittCFQ accept round trip —
 // the per-IO cost of the busiest experiment path.
 func BenchmarkCFQSubmitDispatch(b *testing.B) {
-	benchLoop(b, newCFQSubmitLoop())
+	benchLoop(b, newSubmitLoop(SchedulerCFQ))
 }
 
 // newDestageLoop builds a disk whose NVRAM buffer is filled to within two

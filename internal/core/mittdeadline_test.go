@@ -112,3 +112,54 @@ func TestMittDeadlineShadowAccuracy(t *testing.T) {
 			100*acc.InaccuracyRate(), 100*acc.FalsePosRate(), 100*acc.FalseNegRate())
 	}
 }
+
+// TestMittDeadlineRevokedIOsReleased revokes queued reads — the tied-request
+// cancellation path — and requires the deadline scheduler to hand each one
+// back: OnDrop fires or the pooled request is recycled, the owner's
+// callback never runs, and MittDeadline releases the predicted service it
+// charged, so an idle disk predicts no wait.
+func TestMittDeadlineRevokedIOsReleased(t *testing.T) {
+	r := newDLRig(t, DefaultOptions())
+	var pool blockio.Pool
+	var reqs []*blockio.Request
+	completed, dropped := 0, 0
+	for i := 0; i < 8; i++ {
+		req := pool.Get()
+		req.ID, req.Op, req.Size = r.ids.Next(), blockio.Read, 4096
+		req.Offset = int64(i+1) * (100 << 30)
+		req.Deadline = time.Second
+		if i%2 == 0 {
+			req.OnDrop = func(*blockio.Request) { dropped++ }
+		} else {
+			req.AutoFree = true
+		}
+		r.mitt.SubmitSLO(req, func(err error) {
+			if err != nil {
+				t.Errorf("surviving read: %v", err)
+			}
+			completed++
+		})
+		reqs = append(reqs, req)
+	}
+	// The first read is already at the device; revoke six still queued.
+	gens := make([]uint32, len(reqs))
+	for i := 1; i < 7; i++ {
+		gens[i] = reqs[i].Gen()
+		reqs[i].Cancel()
+	}
+	r.eng.Run()
+	if completed != 2 {
+		t.Fatalf("%d callbacks ran, want the 2 surviving reads", completed)
+	}
+	if dropped != 3 {
+		t.Fatalf("OnDrop fired %d times, want 3", dropped)
+	}
+	for i := 1; i < 7; i += 2 {
+		if reqs[i].Gen() == gens[i] {
+			t.Fatalf("revoked AutoFree read %d was not recycled", i)
+		}
+	}
+	if w := r.mitt.PredictWait(); w != 0 {
+		t.Fatalf("idle disk predicts %v of wait; revoked reads still charged", w)
+	}
+}

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -100,6 +102,35 @@ func TestGoldenMetricsInvariant(t *testing.T) {
 	checkGolden(t, "fig4", res.String())
 	if len(res.Metrics) == 0 {
 		t.Fatal("fig4 with Metrics on attached no snapshots")
+	}
+}
+
+// TestMetricsJSONIdenticalAcrossWorkers requires fig4's metrics snapshots,
+// as mittbench -metrics-json writes them, to be byte-identical at one and
+// eight leg workers: a snapshot reports simulated state only, never the
+// state of a worker arena's host-side pools, which depends on what ran on
+// that worker before.
+func TestMetricsJSONIdenticalAcrossWorkers(t *testing.T) {
+	var docs [][]byte
+	for _, workers := range []int{1, 8} {
+		res, err := Run("fig4", RunConfig{Quick: true, Seed: 1, Workers: workers, Metrics: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, err := json.MarshalIndent(res.Metrics, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs = append(docs, j)
+	}
+	if !bytes.Equal(docs[0], docs[1]) {
+		a, b := strings.Split(string(docs[0]), "\n"), strings.Split(string(docs[1]), "\n")
+		for i := 0; i < len(a) && i < len(b); i++ {
+			if a[i] != b[i] {
+				t.Fatalf("metrics JSON differs at line %d: %s at 1 worker, %s at 8", i+1, a[i], b[i])
+			}
+		}
+		t.Fatalf("metrics JSON differs in length: %d lines at 1 worker, %d at 8", len(a), len(b))
 	}
 }
 

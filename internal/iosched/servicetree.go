@@ -356,43 +356,3 @@ func (t *serviceTree) deleteFixup(x *stNode, parent *stNode) {
 		x.color = rbBlack
 	}
 }
-
-// checkAggregates validates red-black shape, key order, and the subtree-sum
-// invariant; used by property and fuzz tests. Returns the black-height or
-// -1 on any violation.
-func (t *serviceTree) checkAggregates() int {
-	if stColor(t.root) != rbBlack {
-		return -1
-	}
-	var check func(n *stNode) int
-	check = func(n *stNode) int {
-		if n == nil {
-			return 1
-		}
-		if n.color == rbRed && (stColor(n.left) == rbRed || stColor(n.right) == rbRed) {
-			return -1
-		}
-		if n.left != nil && n.left.key >= n.key {
-			return -1
-		}
-		if n.right != nil && n.right.key <= n.key {
-			return -1
-		}
-		if n.sum != stSum(n.left)+stSum(n.right)+n.pn.contrib {
-			return -1
-		}
-		if n.pn.st != n {
-			return -1
-		}
-		lh := check(n.left)
-		rh := check(n.right)
-		if lh < 0 || rh < 0 || lh != rh {
-			return -1
-		}
-		if n.color == rbBlack {
-			return lh + 1
-		}
-		return lh
-	}
-	return check(t.root)
-}

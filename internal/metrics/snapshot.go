@@ -152,8 +152,8 @@ func (sn *Snapshot) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "metrics [%s]\n", sn.Leg)
 	e := sn.Engine
-	fmt.Fprintf(&b, "  engine: now=%v fired=%d scheduled=%d cancelled=%d cascades=%d pending=%d max-pending=%d max-slot=%d overflow=%d freelist=%d\n",
-		e.Now, e.Fired, e.Scheduled, e.Cancelled, e.Cascades, e.Pending, e.MaxPending, e.MaxSlot, e.Overflow, e.FreeList)
+	fmt.Fprintf(&b, "  engine: now=%v fired=%d scheduled=%d cancelled=%d cascades=%d pending=%d max-pending=%d max-slot=%d overflow=%d\n",
+		e.Now, e.Fired, e.Scheduled, e.Cancelled, e.Cascades, e.Pending, e.MaxPending, e.MaxSlot, e.Overflow)
 	if len(sn.Counters) > 0 {
 		fmt.Fprintf(&b, "  counters:\n")
 		last := ""

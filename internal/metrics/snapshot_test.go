@@ -44,10 +44,15 @@ func TestSnapshotEngineStats(t *testing.T) {
 	}
 
 	text := sn.String()
-	for _, want := range []string{"cascades=", "max-pending=", "max-slot=", "overflow=1", "freelist="} {
+	for _, want := range []string{"cascades=", "max-pending=", "max-slot=", "overflow=1"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("text dump missing %q:\n%s", want, text)
 		}
+	}
+	// Host-side pool sizes depend on which legs ran earlier on a worker,
+	// so they stay out of the dump.
+	if strings.Contains(text, "freelist") {
+		t.Fatalf("text dump reports a host pool size:\n%s", text)
 	}
 
 	raw, err := json.Marshal(sn)
@@ -62,10 +67,13 @@ func TestSnapshotEngineStats(t *testing.T) {
 	if !ok {
 		t.Fatalf("no engine object in JSON: %s", raw)
 	}
-	for _, key := range []string{"cascades", "max_pending", "max_slot", "overflow_len", "freelist_len"} {
+	for _, key := range []string{"cascades", "max_pending", "max_slot", "overflow_len"} {
 		if _, ok := engObj[key]; !ok {
 			t.Fatalf("engine JSON missing %q: %s", key, raw)
 		}
+	}
+	if _, ok := engObj["freelist_len"]; ok {
+		t.Fatalf("engine JSON reports a host pool size: %s", raw)
 	}
 	if engObj["cascades"].(float64) != float64(e.Cascades) {
 		t.Fatalf("JSON cascades %v != stats %d", engObj["cascades"], e.Cascades)

@@ -146,7 +146,9 @@ type Engine struct {
 // EngineStats is a point-in-time summary of engine activity, exposed so the
 // metrics layer can report event-loop health (cascade churn, slot hot
 // spots, overflow parking) alongside IO-level numbers. All counters are
-// cumulative since NewEngine.
+// cumulative since NewEngine. Every field is simulated state: host-side
+// pools (the event freelist an arena carries from leg to leg) are left
+// out, so a snapshot reads the same for any worker count.
 type EngineStats struct {
 	Now        Time   `json:"now_ns"`       // current virtual time
 	Fired      uint64 `json:"fired"`        // events executed
@@ -157,7 +159,6 @@ type EngineStats struct {
 	MaxPending int    `json:"max_pending"`  // high-water live events queued
 	MaxSlot    int    `json:"max_slot"`     // high-water single-slot occupancy
 	Overflow   int    `json:"overflow_len"` // events currently parked beyond the horizon
-	FreeList   int    `json:"freelist_len"` // recycled events currently parked
 }
 
 // Stats snapshots the engine's diagnostic counters.
@@ -172,7 +173,6 @@ func (e *Engine) Stats() EngineStats {
 		MaxPending: e.maxPending,
 		MaxSlot:    e.maxSlot,
 		Overflow:   int(e.overflow.n),
-		FreeList:   len(e.free),
 	}
 }
 
@@ -382,10 +382,6 @@ func (e *Engine) dropEvent(ev *Event) {
 		e.free = append(e.free, ev)
 	}
 }
-
-// Sleep returns a channel-free helper used in tests: it schedules fn after d
-// and returns the event; semantic sugar for Schedule.
-func (e *Engine) Sleep(d Duration, fn func()) *Event { return e.Schedule(d, fn) }
 
 // String summarizes engine state.
 func (e *Engine) String() string {

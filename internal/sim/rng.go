@@ -54,12 +54,6 @@ func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
 // Int63n returns a uniform int64 in [0,n).
 func (g *RNG) Int63n(n int64) int64 { return g.r.Int63n(n) }
 
-// Perm returns a random permutation of [0,n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
-
-// Shuffle pseudo-randomizes the order of n elements.
-func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
-
 // Duration returns a uniform duration in [0,d).
 func (g *RNG) Duration(d Duration) Duration {
 	if d <= 0 {

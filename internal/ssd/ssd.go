@@ -149,7 +149,7 @@ type SSD struct {
 	busyFree []*busyOp
 
 	// degrade scales every chip and channel operation; 1.0 = healthy. The
-	// FTL's GC bookkeeping and the host-visible profile (NextProgramTime,
+	// FTL's GC bookkeeping and the host-visible profile (ProgramPattern,
 	// GCEvent.BusyFor) deliberately stay unscaled: a fail-slow device is
 	// precisely one whose real timing has drifted from its profile (§8.1).
 	degrade float64
@@ -220,14 +220,6 @@ func (sv *server) kick() {
 func (sv *server) finish() {
 	sv.running = false
 	sv.kick()
-}
-
-func (sv *server) occupancy() int {
-	n := len(sv.q) - sv.head
-	if sv.running {
-		n++
-	}
-	return n
 }
 
 // chip is one flash die: a serial server with its own queue plus FTL state.
@@ -793,23 +785,3 @@ func (s *SSD) migrate(c *chip, victim int) (moved int, busy time.Duration) {
 
 // WearLevelMoves returns the total pages moved by wear leveling.
 func (s *SSD) WearLevelMoves() uint64 { return s.wlMoves }
-
-// NextProgramTime returns the program duration the next page write on the
-// chip will incur. On host-managed flash the OS runs the FTL, so this is
-// legitimately host-visible knowledge (§4.3: upper/lower page position
-// determines 1ms vs 2ms programming).
-func (s *SSD) NextProgramTime(chipID int) time.Duration {
-	c := s.chips[chipID]
-	idx := c.writeFront[c.activeBlock]
-	if idx >= s.cfg.PagesPerBlock {
-		idx = 0 // a fresh block starts at page 0
-	}
-	return s.pattern[idx]
-}
-
-// ChipQueueLen reports the number of queued-or-running tasks on a chip
-// (diagnostics and tests).
-func (s *SSD) ChipQueueLen(chipID int) int { return s.chips[chipID].srv.occupancy() }
-
-// ChannelQueueLen reports the transfer-stage occupancy of a channel.
-func (s *SSD) ChannelQueueLen(chID int) int { return s.channels[chID].srv.occupancy() }

@@ -547,3 +547,12 @@ func TestPoolResetMatchesNew(t *testing.T) {
 		t.Fatal("reset and fresh devices diverge after the same IO script")
 	}
 }
+
+// occupancy counts a server's queued-or-running tasks.
+func (sv *server) occupancy() int {
+	n := len(sv.q) - sv.head
+	if sv.running {
+		n++
+	}
+	return n
+}

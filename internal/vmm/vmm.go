@@ -95,9 +95,6 @@ func (h *Host) schedule(i int) {
 	})
 }
 
-// Running reports the VM currently holding the CPU.
-func (h *Host) Running() int { return h.current }
-
 // TimeUntilRun predicts when VM id next holds the CPU: 0 if running now,
 // otherwise the remaining slices ahead of it. This is exactly the
 // information the VMM has and the guest OS does not — MittVMM's white-box
