@@ -373,6 +373,13 @@ func BenchmarkCFQSubmitDispatch(b *testing.B) {
 	benchLoop(b, newSubmitLoop(SchedulerCFQ))
 }
 
+// BenchmarkDeadlineSubmitDispatch is its MittDeadline twin: admission, the
+// deadline scheduler's offset sort and FIFO, dispatch, completion, and
+// recycling.
+func BenchmarkDeadlineSubmitDispatch(b *testing.B) {
+	benchLoop(b, newSubmitLoop(SchedulerDeadline))
+}
+
 // newDestageLoop builds a disk whose NVRAM buffer is filled to within two
 // writes of its slots behind a busy spindle, and returns one steady-state
 // step: buffer one write (push), then run until the spindle finishes an op

@@ -26,8 +26,9 @@ out=$(cd "$2" && pwd)
 # benchmarks regenerate their experiment once per run. Everything runs at
 # GOMAXPROCS=1: experiment legs then run serially, which makes their
 # allocation counts repeat run to run.
-hot=(AdmissionDecision PredictWaitCFQ CFQSubmitDispatch PutAdmission DiskDestage
-	SeekCost EngineThroughput EngineCancelHeavy EngineMixedHorizon)
+hot=(AdmissionDecision PredictWaitCFQ CFQSubmitDispatch DeadlineSubmitDispatch
+	PutAdmission DiskDestage SeekCost EngineThroughput EngineCancelHeavy
+	EngineMixedHorizon)
 experiments=(Fig4 YCSBMix LoadSweep)
 rounds=7
 

@@ -114,16 +114,32 @@ func (m *sstfMirror) complete(req *blockio.Request) {
 		err = clampDur(err, -2*time.Millisecond, 2*time.Millisecond)
 		m.driftBias += (err - m.driftBias) / 8
 	}
+	m.forget(req)
+	m.headPos = req.End()
+	m.start()
+}
+
+// drop removes an IO revoked before it reached the device. The head does
+// not move and nothing is calibrated; if the mirror had the IO in
+// predicted service, the next pending IO starts now.
+func (m *sstfMirror) drop(req *blockio.Request) {
+	if m.forget(req) {
+		m.start()
+	}
+}
+
+// forget splices req's entry out of pending and recycles it, reporting
+// whether it was the entry in predicted service.
+func (m *sstfMirror) forget(req *blockio.Request) (inService bool) {
 	for i, p := range m.pending {
 		if p.req == req {
 			m.pending = append(m.pending[:i], m.pending[i+1:]...)
 			p.req = nil
 			m.entryFree = append(m.entryFree, p)
-			break
+			return p == m.inService
 		}
 	}
-	m.headPos = req.End()
-	m.start()
+	return false
 }
 
 // start begins predicted service of the next pending IO under the device's

@@ -13,9 +13,9 @@ import (
 // MittCFQ is MittOS integrated with the CFQ scheduler (§4.2).
 //
 // Admission is O(log P), not O(N): each process node carries its running
-// predicted-total-IO time (slice-clamped) inside the scheduler's augmented
+// predicted-total-IO time (slice-clamped) as its weight on the scheduler's
 // service trees, so the wait estimate for an arriving IO is the device
-// drain time plus one aggregate prefix query — see CFQ.AheadCharge.
+// drain time plus one prefix-sum query — see CFQ.AheadCharge.
 //
 // Because CFQ can accept an IO and later push it back behind
 // newly-arriving higher-priority IOs, MittCFQ additionally maintains the

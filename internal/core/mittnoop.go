@@ -41,6 +41,7 @@ func NewMittNoop(eng *sim.Engine, sched *iosched.Noop, prof *disk.Profile, opt O
 	m := &MittNoop{waitGate: waitGate{gate: newGate(eng, metrics.RMittNoop, opt)},
 		sched: sched, prof: prof, opt: opt, mirror: newSSTFMirror(eng, prof, opt.Calibrate)}
 	m.layer = m
+	sched.SetDropHook(m.onDrop)
 	return m
 }
 
@@ -48,6 +49,7 @@ func NewMittNoop(eng *sim.Engine, sched *iosched.Noop, prof *disk.Profile, opt O
 // or, naive, Tdiff calibration (§4.1) shifts TnextFree by the prediction
 // residual, bounded so one bad sample cannot destabilize the model.
 func (m *MittNoop) settle(op *gateOp, r *blockio.Request) {
+	r.SchedPriv = nil
 	if !m.opt.Naive {
 		m.mirror.complete(r)
 		return
@@ -55,6 +57,19 @@ func (m *MittNoop) settle(op *gateOp, r *blockio.Request) {
 	if m.opt.Calibrate {
 		diff := r.CompleteTime.Sub(op.predDone)
 		m.nextFree = m.nextFree.Add(clampDur(diff, -5*time.Millisecond, 5*time.Millisecond))
+	}
+}
+
+// onDrop fires when the noop scheduler discards a request revoked by its
+// owner before dispatch: the SSTF mirror forgets it and its op is
+// reclaimed, since the completion callback will never run. Naive mode has
+// no mirror to update.
+func (m *MittNoop) onDrop(req *blockio.Request) {
+	if !m.opt.Naive {
+		m.mirror.drop(req)
+	}
+	if op, ok := req.SchedPriv.(*gateOp); ok {
+		m.unwind(req, op)
 	}
 }
 
@@ -121,6 +136,7 @@ func (m *MittNoop) SubmitSLO(req *blockio.Request, onDone func(error)) {
 	if op == nil {
 		return
 	}
+	req.SchedPriv = op
 	if m.opt.Naive {
 		if now := m.eng.Now(); m.nextFree < now {
 			// Idle disk: automatic recalibration (TnextFree = Tnow + Tprocess).

@@ -134,6 +134,75 @@ func TestMittNoopPredictionTracksQueue(t *testing.T) {
 	}
 }
 
+// TestMittNoopRevokedIOsReleased revokes the reads still in the noop
+// dispatch queue, whose owner recycles each one from OnDrop, and requires
+// MittNoop to forget them: the SSTF mirror drops their entries and every
+// op comes back. Otherwise a revoked read's entry outlives it, and once
+// the request is reused it no longer reads as cancelled, so the idle disk
+// predicts a wait and turns an SLO read away.
+func TestMittNoopRevokedIOsReleased(t *testing.T) {
+	for _, naive := range []bool{false, true} {
+		opt := DefaultOptions()
+		opt.Naive = naive
+		r := newNoopRig(t, opt)
+		var pool blockio.Pool
+		completed, dropped := 0, 0
+		submit := func(off int64, deadline time.Duration, onDone func(error)) *blockio.Request {
+			req := pool.Get()
+			req.ID, req.Op, req.Offset, req.Size = r.ids.Next(), blockio.Read, off, 4096
+			req.Deadline = deadline
+			req.OnDrop = func(q *blockio.Request) { dropped++; q.Release() }
+			r.mitt.SubmitSLO(req, func(err error) {
+				completed++
+				onDone(err)
+				req.Release()
+			})
+			return req
+		}
+		const n = 40
+		var reqs []*blockio.Request
+		for i := 0; i < n; i++ {
+			reqs = append(reqs, submit(int64(i+1)*(20<<30), 0, func(error) {}))
+		}
+		queued := r.nop.QueueLen()
+		if queued == 0 {
+			t.Fatalf("naive=%v: no read left in the noop queue to revoke", naive)
+		}
+		for _, req := range reqs[n-queued:] {
+			req.Cancel()
+		}
+		r.eng.Run()
+		if completed != n-queued || dropped != queued {
+			t.Fatalf("naive=%v: %d completed and %d dropped, want %d and %d",
+				naive, completed, dropped, n-queued, queued)
+		}
+		if got := len(r.mitt.mirror.pending); got != 0 {
+			t.Errorf("naive=%v: mirror keeps %d entries of revoked reads", naive, got)
+		}
+		if w := r.mitt.PredictWait(); w != 0 {
+			t.Errorf("naive=%v: idle disk predicts %v of wait", naive, w)
+		}
+		if got := len(r.mitt.opFree); got != n {
+			t.Errorf("naive=%v: %d of %d ops back in the pool", naive, got, n)
+		}
+		// Reuse the recycled requests, then ask the idle disk for a read
+		// with a tight SLO.
+		for i := 0; i < 10; i++ {
+			submit(int64(i+1)*(30<<30), 0, func(error) {})
+		}
+		r.eng.Run()
+		if w := r.mitt.PredictWait(); w != 0 {
+			t.Errorf("naive=%v: idle disk predicts %v of wait after reuse", naive, w)
+		}
+		var err error = blockio.ErrBusy
+		submit(100<<30, 15*time.Millisecond, func(e error) { err = e })
+		r.eng.Run()
+		if err != nil {
+			t.Fatalf("naive=%v: idle disk rejected a 15ms read: %v", naive, err)
+		}
+	}
+}
+
 func TestMittNoopCalibrationKeepsPredictionsAccurate(t *testing.T) {
 	// Shadow-mode accuracy under a bursty open-loop workload shaped like
 	// the §7.6 trace replays (probes with idle gaps plus periodic bursts):

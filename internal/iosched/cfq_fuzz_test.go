@@ -46,8 +46,10 @@ func (d *fuzzDevice) completeOne() bool {
 // cancellations, charge mutations, and virtual-time advancement. After every
 // operation it checks:
 //
-//   - the augmented service trees' red-black + subtree-sum invariants
-//     (checkAggregates), which rotations must preserve;
+//   - the service trees' red-black, key-order and weight-sum invariants
+//     (checkInvariants), which rotations must preserve, and the
+//     round-robin rule: each slot weighs its process' contrib, and the
+//     process points back at its slot;
 //   - AheadCharge (O(log P) prefix query) against the retained O(P)
 //     ProcsAheadOf walk combined with per-proc clamped charges;
 //   - IsAheadOf membership against the same walk.
@@ -80,9 +82,18 @@ func FuzzCFQAggregates(f *testing.F) {
 		check := func(op string) {
 			t.Helper()
 			for r := 0; r < 3; r++ {
-				if c.st[r].checkAggregates() < 0 {
+				if c.st[r].checkInvariants() < 0 {
 					t.Fatalf("%s: service tree %d invariants violated", op, r)
 				}
+				// The round-robin rule: a node weighs its process'
+				// contrib, and the process points back at the node.
+				c.st[r].Each(func(x *rbNode[*procNode]) bool {
+					if pn := x.val; x.weight != pn.contrib || pn.st != x || pn.stRank != r {
+						t.Fatalf("%s: service tree %d slot of proc %d: weight %v contrib %v, back-pointer ok %v, rank %d",
+							op, r, pn.proc, x.weight, pn.contrib, pn.st == x, pn.stRank)
+					}
+					return true
+				})
 			}
 			// nProcs+1 also queries a process CFQ has never seen.
 			for proc := 0; proc <= nProcs; proc++ {

@@ -42,8 +42,8 @@ type DeadlineSched struct {
 	cfg  DeadlineConfig
 	down Downstream
 
-	sorted [2]rbTree             // by offset, per direction (0=read, 1=write)
-	fifo   [2][]*blockio.Request // arrival order, per direction
+	sorted [2]rbTree[*blockio.Request] // by offset, per direction (0=read, 1=write)
+	fifo   [2][]*blockio.Request       // arrival order, per direction
 
 	headPos    int64
 	batchLeft  int
@@ -94,7 +94,7 @@ func (d *DeadlineSched) Submit(req *blockio.Request) {
 		req.SubmitTime = d.eng.Now()
 	}
 	dir := dirOf(req.Op)
-	d.sorted[dir].Insert(req)
+	d.sorted[dir].Insert(req.Offset, req, 0)
 	d.fifo[dir] = append(d.fifo[dir], req)
 	d.queued++
 	d.pump()
@@ -102,9 +102,6 @@ func (d *DeadlineSched) Submit(req *blockio.Request) {
 
 // InFlight implements blockio.Device.
 func (d *DeadlineSched) InFlight() int { return d.queued + d.down.InFlight() }
-
-// QueueLen returns scheduler-held requests.
-func (d *DeadlineSched) QueueLen() int { return d.queued }
 
 // Dispatched returns total requests sent to the device.
 func (d *DeadlineSched) Dispatched() uint64 { return d.dispatched }
@@ -167,9 +164,8 @@ func (d *DeadlineSched) pump() {
 func (d *DeadlineSched) next() *blockio.Request {
 	// Continue the current batch while sorted successors exist.
 	if d.batchLeft > 0 {
-		if req := d.sorted[d.batchDir].CeilingFrom(d.headPos); req != nil {
-			d.take(d.batchDir, req)
-			return req
+		if n := d.sorted[d.batchDir].CeilingFrom(d.headPos); n != nil {
+			return d.take(d.batchDir, n)
 		}
 		d.batchLeft = 0
 	}
@@ -191,25 +187,25 @@ func (d *DeadlineSched) next() *blockio.Request {
 		d.starved++
 	}
 	// Expired head preempts sorted order; otherwise resume the elevator.
-	start := d.expiredHead(dir)
-	if start == nil {
-		start = d.sorted[dir].CeilingFrom(d.headPos)
-		if start == nil {
-			start = d.sorted[dir].Min() // wrap
-		}
+	var start *rbNode[*blockio.Request]
+	if head := d.expiredHead(dir); head != nil {
+		start = d.sorted[dir].Find(head.Offset, head)
+	} else if start = d.sorted[dir].CeilingFrom(d.headPos); start == nil {
+		start = d.sorted[dir].Min() // wrap
 	}
 	if start == nil {
 		return nil
 	}
 	d.batchDir = dir
 	d.batchLeft = d.cfg.FifoBatch
-	d.take(dir, start)
-	return start
+	return d.take(dir, start)
 }
 
-// take removes a request from both structures and advances the elevator.
-func (d *DeadlineSched) take(dir int, req *blockio.Request) {
-	d.sorted[dir].Remove(req)
+// take removes a request's node from the sort and the request from its
+// FIFO, advances the elevator, and returns the request.
+func (d *DeadlineSched) take(dir int, n *rbNode[*blockio.Request]) *blockio.Request {
+	req := n.val
+	d.sorted[dir].Delete(n)
 	for i, r := range d.fifo[dir] {
 		if r == req {
 			d.fifo[dir] = append(d.fifo[dir][:i], d.fifo[dir][i+1:]...)
@@ -220,4 +216,5 @@ func (d *DeadlineSched) take(dir int, req *blockio.Request) {
 	if d.batchLeft > 0 {
 		d.batchLeft--
 	}
+	return req
 }

@@ -3,7 +3,11 @@
 // structurally faithful CFQ (§4.2) with per-class service trees
 // (RealTime/BestEffort/Idle), per-process nodes holding offset-sorted
 // red-black trees of pending IOs, priority-scaled time slices, and RealTime
-// preemption.
+// preemption. It adds Linux's deadline scheduler (§3.4). Every ordered
+// structure here is the one weighted red-black tree of rbtree.go: CFQ's
+// request trees and the deadline sort weigh each request 0, and CFQ's
+// service trees weigh each process node by its predicted IO time, so that
+// MittCFQ's "time ahead of me" is a prefix sum.
 //
 // Simplifications vs. Linux CFQ, documented for reviewers: within a class,
 // process nodes are served round-robin with slice lengths scaled by ionice
@@ -34,14 +38,19 @@ type Downstream interface {
 // Noop is the FIFO scheduler: arriving IOs enter a dispatch queue whose
 // items are absorbed into the device queue as slots free up (§4.1).
 type Noop struct {
-	eng  *sim.Engine
-	down Downstream
-	fifo []*blockio.Request
-	rec  *metrics.Recorder
+	eng      *sim.Engine
+	down     Downstream
+	fifo     []*blockio.Request
+	rec      *metrics.Recorder
+	dropHook func(*blockio.Request)
 }
 
 // SetRecorder attaches a metrics recorder (nil disables, the default).
 func (n *Noop) SetRecorder(rec *metrics.Recorder) { n.rec = rec }
+
+// SetDropHook registers a tap invoked when a cancelled request is discarded
+// from the dispatch queue (so accounting layers can release its state).
+func (n *Noop) SetDropHook(fn func(*blockio.Request)) { n.dropHook = fn }
 
 // NewNoop builds a noop scheduler over the device.
 func NewNoop(eng *sim.Engine, down Downstream) *Noop {
@@ -71,6 +80,9 @@ func (n *Noop) pump() {
 		req := n.fifo[0]
 		n.fifo = n.fifo[1:]
 		if req.Canceled() {
+			if n.dropHook != nil {
+				n.dropHook(req)
+			}
 			n.rec.SchedDrop(metrics.RSchedNoop, req)
 			req.Dropped()
 			continue
@@ -118,18 +130,18 @@ type procNode struct {
 	proc  int
 	class blockio.Class
 	prio  int
-	tree  rbTree
+	tree  rbTree[*blockio.Request]
 	// total is the admission layer's predicted total IO time charged to
 	// this node (§4.2: "MittCFQ keeps track of the predicted total IO time
-	// of each process node"); contrib is the slice-clamped value the
-	// service-tree aggregates sum — min(total, Slice(prio)) while the node
-	// has queued IOs, 0 otherwise.
+	// of each process node"); contrib is the slice-clamped value that
+	// weighs the node on its service tree — min(total, Slice(prio)) while
+	// the node has queued IOs, 0 otherwise.
 	total   time.Duration
 	contrib time.Duration
 	// st is the node's slot on its class service tree (nil while active or
 	// idle); stRank is the class rank it was enqueued under, which lags
 	// class until the node is re-enqueued (ionice semantics).
-	st     *stNode
+	st     *rbNode[*procNode]
 	stRank int
 	// headPos is the offset dispatch resumes from (ascending elevator).
 	headPos int64
@@ -145,10 +157,9 @@ type CFQ struct {
 	cfg  CFQConfig
 	down Downstream
 
-	dense    []*procNode       // proc → node for small non-negative IDs
-	nodes    map[int]*procNode // fallback for IDs outside the dense range
-	st       [3]serviceTree    // round-robin per class rank (0 = RT)
-	stSeq    uint64
+	dense    []*procNode          // proc → node for small non-negative IDs
+	nodes    map[int]*procNode    // fallback for IDs outside the dense range
+	st       [3]rbTree[*procNode] // round-robin per class rank (0 = RT)
 	active   *procNode
 	sliceEnd sim.Time
 
@@ -182,9 +193,6 @@ func NewCFQ(eng *sim.Engine, cfg CFQConfig, down Downstream) *CFQ {
 	return c
 }
 
-// Config returns the scheduler configuration.
-func (c *CFQ) Config() CFQConfig { return c.cfg }
-
 // Submit implements blockio.Device. The request's Proc/Class/Priority choose
 // (or create) its process node, mirroring ionice semantics.
 func (c *CFQ) Submit(req *blockio.Request) {
@@ -196,7 +204,7 @@ func (c *CFQ) Submit(req *blockio.Request) {
 	// ionice changes apply to subsequent IOs.
 	node.class = req.Class
 	node.prio = req.Priority
-	node.tree.Insert(req)
+	node.tree.Insert(req.Offset, req, 0)
 	c.queued++
 	c.refreshContrib(node)
 	if node.st == nil && node != c.active {
@@ -207,9 +215,8 @@ func (c *CFQ) Submit(req *blockio.Request) {
 
 // enqueue appends the node to the tail of its class round-robin.
 func (c *CFQ) enqueue(n *procNode) {
-	c.stSeq++
 	n.stRank = n.class.Rank()
-	c.st[n.stRank].append(n, c.stSeq)
+	n.st = c.st[n.stRank].Insert(0, n, n.contrib)
 }
 
 // lookup returns the proc's node, or nil.
@@ -238,9 +245,9 @@ func (c *CFQ) node(proc int) *procNode {
 	return n
 }
 
-// refreshContrib recomputes the node's slice-clamped aggregate contribution
-// after a change to its total, priority, or queued-IO count, propagating
-// the delta into its service tree when it is enqueued.
+// refreshContrib recomputes the node's slice-clamped contribution after a
+// change to its total, priority, or queued-IO count, moving its service
+// tree weight by the delta when it is enqueued.
 func (c *CFQ) refreshContrib(n *procNode) {
 	var nc time.Duration
 	if n.tree.Len() > 0 {
@@ -255,7 +262,7 @@ func (c *CFQ) refreshContrib(n *procNode) {
 	delta := nc - n.contrib
 	n.contrib = nc
 	if n.st != nil {
-		c.st[n.stRank].update(n.st, delta)
+		c.st[n.stRank].addWeight(n.st, delta)
 	}
 }
 
@@ -269,14 +276,6 @@ func (c *CFQ) QueueLen() int { return c.queued }
 // Dispatched returns the total number of IOs sent to the device.
 func (c *CFQ) Dispatched() uint64 { return c.dispatched }
 
-// PendingOf returns the number of queued IOs of one process.
-func (c *CFQ) PendingOf(proc int) int {
-	if n := c.lookup(proc); n != nil {
-		return n.tree.Len()
-	}
-	return 0
-}
-
 // Remove drops a still-queued request from its process node (MittCFQ's late
 // cancellation path). It returns false if the request already left for the
 // device.
@@ -285,18 +284,20 @@ func (c *CFQ) Remove(req *blockio.Request) bool {
 	if n == nil {
 		return false
 	}
-	if n.tree.Remove(req) {
-		c.queued--
-		c.refreshContrib(n)
-		c.rec.SchedRemove(metrics.RSchedCFQ, req)
-		return true
+	x := n.tree.Find(req.Offset, req)
+	if x == nil {
+		return false
 	}
-	return false
+	n.tree.Delete(x)
+	c.queued--
+	c.refreshContrib(n)
+	c.rec.SchedRemove(metrics.RSchedCFQ, req)
+	return true
 }
 
 // AddProcCharge adds predicted IO time to the proc's node total — MittCFQ's
-// per-node accounting (§4.2), kept on the node so the service-tree
-// aggregates can sum it.
+// per-node accounting (§4.2), kept on the node so its service tree can
+// weigh it.
 func (c *CFQ) AddProcCharge(proc int, d time.Duration) {
 	n := c.node(proc)
 	n.total += d
@@ -325,8 +326,8 @@ func (c *CFQ) ProcCharge(proc int) time.Duration {
 
 // AheadCharge returns the slice-clamped charge sum of every process node
 // CFQ would service before a newly arriving IO from `proc` at the given
-// class — the augmented-tree form of the ProcsAheadOf walk: the active
-// node's clamped charge plus one aggregate (or prefix) query per class rank,
+// class — the weighted-tree form of the ProcsAheadOf walk: the active
+// node's clamped charge plus one total (or prefix) query per class rank,
 // O(log P) total. ProcsAheadOf remains as the tests' walking oracle; the
 // two agree exactly because integer addition is order-independent and both
 // apply the same inclusion and clamping rules.
@@ -340,7 +341,7 @@ func (c *CFQ) AheadCharge(proc int, class blockio.Class) time.Duration {
 	pn := c.lookup(proc)
 	for r := 0; r <= rank; r++ {
 		t := &c.st[r]
-		if t.size == 0 {
+		if t.Len() == 0 {
 			continue
 		}
 		if pn != nil && pn.st != nil && pn.stRank == r {
@@ -389,23 +390,7 @@ func (c *CFQ) IsAheadOf(candidate, proc int, class blockio.Class) bool {
 	if pn == nil || pn.st == nil || pn.stRank != rank {
 		return true
 	}
-	return cn.st.key < pn.st.key
-}
-
-// NodeSlice returns the time slice the proc's node currently earns — the
-// bound on how long one node can hold the device per round.
-func (c *CFQ) NodeSlice(proc int) time.Duration {
-	if n := c.lookup(proc); n != nil {
-		return c.cfg.Slice(n.prio)
-	}
-	return c.cfg.Slice(4)
-}
-
-// EachQueued visits every queued request of a process in offset order.
-func (c *CFQ) EachQueued(proc int, fn func(*blockio.Request) bool) {
-	if n := c.lookup(proc); n != nil {
-		n.tree.Each(fn)
-	}
+	return cn.st.key.less(pn.st.key)
 }
 
 // pump dispatches IOs while the device accepts them, keeping at most
@@ -451,7 +436,7 @@ func (c *CFQ) needNewSlice() bool {
 		return true
 	}
 	// RealTime preemption: an RT node waiting preempts lower classes.
-	if c.active.class != blockio.ClassRealTime && c.st[blockio.ClassRealTime.Rank()].size > 0 {
+	if c.active.class != blockio.ClassRealTime && c.st[blockio.ClassRealTime.Rank()].Len() > 0 {
 		return true
 	}
 	return false
@@ -470,8 +455,9 @@ func (c *CFQ) selectNext() {
 		c.active = nil
 	}
 	for r := 0; r < 3; r++ {
-		for c.st[r].size > 0 {
-			n := c.st[r].popMin()
+		for c.st[r].Len() > 0 {
+			n := c.st[r].PopMin()
+			n.st = nil
 			if n.tree.Len() == 0 {
 				continue
 			}
@@ -482,21 +468,21 @@ func (c *CFQ) selectNext() {
 	}
 }
 
-// dispatchFrom pops the node's next IO in ascending elevator order.
+// dispatchFrom pops the node's next IO in ascending elevator order, or
+// returns nil when the node has none.
 func (c *CFQ) dispatchFrom(n *procNode) *blockio.Request {
-	for n.tree.Len() > 0 {
-		req := n.tree.CeilingFrom(n.headPos)
-		if req == nil {
-			// Wrap the elevator.
-			n.headPos = 0
-			req = n.tree.Min()
+	x := n.tree.CeilingFrom(n.headPos)
+	if x == nil {
+		// Wrap the elevator.
+		if x = n.tree.Min(); x == nil {
+			return nil
 		}
-		n.tree.Remove(req)
-		c.refreshContrib(n)
-		n.headPos = req.End()
-		return req
 	}
-	return nil
+	req := x.val
+	n.tree.Delete(x)
+	c.refreshContrib(n)
+	n.headPos = req.End()
+	return req
 }
 
 // devSlots counts a scheduler's device-resident IOs and pools the

@@ -1,9 +1,14 @@
 package iosched
 
 // Test oracles: the slow, obviously-correct walks and invariant checks the
-// property and fuzz tests verify the schedulers' fast paths against.
+// property and fuzz tests verify the schedulers' fast paths against, and
+// the accessors only tests read the schedulers through.
 
-import "mittos/internal/blockio"
+import (
+	"time"
+
+	"mittos/internal/blockio"
+)
 
 // ProcsAheadOf returns the process IDs whose queued IOs CFQ would service
 // before a newly arriving IO from `proc` at (class, prio) — the O(P) walk
@@ -21,88 +26,85 @@ func (c *CFQ) ProcsAheadOf(proc int, class blockio.Class) []int {
 		rank >= c.active.class.Rank() {
 		ahead = append(ahead, c.active.proc)
 	}
-	var procKey uint64
-	procOn := false
+	var procSlot *rbNode[*procNode]
 	if pn := c.lookup(proc); pn != nil && pn.st != nil && pn.stRank == rank {
-		procKey, procOn = pn.st.key, true
+		procSlot = pn.st
 	}
 	for r := 0; r <= rank; r++ {
-		for x := c.st[r].first(); x != nil; x = stNext(x) {
-			n := x.pn
-			if n.proc == proc || n.tree.Len() == 0 {
-				continue
-			}
-			if r < rank || !procOn || x.key < procKey {
+		c.st[r].Each(func(x *rbNode[*procNode]) bool {
+			n := x.val
+			if n.proc != proc && n.tree.Len() > 0 &&
+				(r < rank || procSlot == nil || x.key.less(procSlot.key)) {
 				ahead = append(ahead, n.proc)
 			}
-		}
+			return true
+		})
 	}
 	return ahead
 }
 
-// checkAggregates validates red-black shape, key order, and the subtree-sum
-// invariant; used by property and fuzz tests. Returns the black-height or
-// -1 on any violation.
-func (t *serviceTree) checkAggregates() int {
-	if stColor(t.root) != rbBlack {
-		return -1
+// PendingOf returns the number of queued IOs of one process.
+func (c *CFQ) PendingOf(proc int) int {
+	if n := c.lookup(proc); n != nil {
+		return n.tree.Len()
 	}
-	var check func(n *stNode) int
-	check = func(n *stNode) int {
-		if n == nil {
-			return 1
-		}
-		if n.color == rbRed && (stColor(n.left) == rbRed || stColor(n.right) == rbRed) {
-			return -1
-		}
-		if n.left != nil && n.left.key >= n.key {
-			return -1
-		}
-		if n.right != nil && n.right.key <= n.key {
-			return -1
-		}
-		if n.sum != stSum(n.left)+stSum(n.right)+n.pn.contrib {
-			return -1
-		}
-		if n.pn.st != n {
-			return -1
-		}
-		lh := check(n.left)
-		rh := check(n.right)
-		if lh < 0 || rh < 0 || lh != rh {
-			return -1
-		}
-		if n.color == rbBlack {
-			return lh + 1
-		}
-		return lh
-	}
-	return check(t.root)
+	return 0
 }
 
-// checkInvariants validates red-black properties; used by property tests.
-// It returns the black-height, or -1 on violation.
-func (t *rbTree) checkInvariants() int {
+// EachQueued visits every queued request of a process in offset order.
+func (c *CFQ) EachQueued(proc int, fn func(*blockio.Request) bool) {
+	if n := c.lookup(proc); n != nil {
+		n.tree.Each(func(x *rbNode[*blockio.Request]) bool { return fn(x.val) })
+	}
+}
+
+// NodeSlice returns the time slice the proc's node currently earns — the
+// bound on how long one node can hold the device per round.
+func (c *CFQ) NodeSlice(proc int) time.Duration {
+	if n := c.lookup(proc); n != nil {
+		return c.cfg.Slice(n.prio)
+	}
+	return c.cfg.Slice(4)
+}
+
+// Each visits nodes in key order; return false to stop.
+func (t *rbTree[V]) Each(fn func(*rbNode[V]) bool) {
+	var walk func(n *rbNode[V]) bool
+	walk = func(n *rbNode[V]) bool {
+		return n == nil || (walk(n.left) && fn(n) && walk(n.right))
+	}
+	walk(t.root)
+}
+
+// checkInvariants validates the red-black shape, the parent links, the key
+// order and the weight sum at every node; used by property and fuzz tests.
+// It returns the black-height, or -1 on any violation.
+func (t *rbTree[V]) checkInvariants() int {
 	if colorOf(t.root) != rbBlack {
 		return -1
 	}
-	var check func(n *rbNode) int
-	check = func(n *rbNode) int {
+	var prev *rbNode[V]
+	var check func(n, parent *rbNode[V]) int
+	check = func(n, parent *rbNode[V]) int {
 		if n == nil {
 			return 1
+		}
+		if n.parent != parent {
+			return -1
 		}
 		if n.color == rbRed && (colorOf(n.left) == rbRed || colorOf(n.right) == rbRed) {
 			return -1
 		}
-		if n.left != nil && !n.left.key.less(n.key) {
+		if n.sum != sumOf(n.left)+sumOf(n.right)+n.weight {
 			return -1
 		}
-		if n.right != nil && !n.key.less(n.right.key) {
+		lh := check(n.left, n)
+		if lh < 0 || (prev != nil && !prev.key.less(n.key)) {
 			return -1
 		}
-		lh := check(n.left)
-		rh := check(n.right)
-		if lh < 0 || rh < 0 || lh != rh {
+		prev = n
+		rh := check(n.right, n)
+		if rh < 0 || lh != rh {
 			return -1
 		}
 		if n.color == rbBlack {
@@ -110,5 +112,5 @@ func (t *rbTree) checkInvariants() int {
 		}
 		return lh
 	}
-	return check(t.root)
+	return check(t.root, nil)
 }

@@ -1,11 +1,30 @@
-// Red-black tree keyed by (offset, seq), used by CFQ process nodes to keep
-// each process' pending IOs sorted by on-disk offset (§4.2: "in every node,
-// there is a red-black tree for sorting the process' pending IOs based on
-// their on-disk offsets"). Implemented from scratch — stdlib has no ordered
-// tree — with the classic CLRS insert/delete fixups.
+// Weighted red-black tree keyed by (offset, insertion sequence): the one
+// ordered structure behind both levels of CFQ (§4.2) and the deadline
+// scheduler's sort. Each node carries a weight and its subtree's weight sum.
+//
+// Request trees hold a CFQ process node's pending IOs sorted by on-disk
+// offset ("in every node, there is a red-black tree for sorting the
+// process' pending IOs based on their on-disk offsets"), and the deadline
+// scheduler's per-direction sort. Every request weighs 0.
+//
+// Service trees are CFQ's per-class round robins of process nodes. All sit
+// at offset 0, so the insertion sequence alone orders them and in-order
+// traversal is round-robin order. Each weighs its process' slice-clamped
+// predicted IO time (procNode.contrib), which turns MittCFQ's O(P) "sum
+// the nodes ahead" admission walk into one O(log P) query:
+//
+//	sum(nodes before X in RR order) = prefixBefore(X)
+//	sum(all nodes on the tree)      = total()
+//
+// The invariant n.sum == sum(n.left) + sum(n.right) + n.weight is kept by
+// Insert (path update on the way down), Delete (bottom-up recompute from
+// the lowest changed node), addWeight (delta up to the root) and the
+// rotations (recompute of the two nodes they move). Implemented from
+// scratch, since the standard library has no ordered tree, with the CLRS
+// insert and delete fixups.
 package iosched
 
-import "mittos/internal/blockio"
+import "time"
 
 type rbColor bool
 
@@ -13,15 +32,6 @@ const (
 	rbRed   rbColor = false
 	rbBlack rbColor = true
 )
-
-type rbNode struct {
-	key    rbKey
-	req    *blockio.Request
-	color  rbColor
-	left   *rbNode
-	right  *rbNode
-	parent *rbNode
-}
 
 // rbKey orders by offset, breaking ties by insertion sequence so duplicate
 // offsets coexist.
@@ -37,65 +47,280 @@ func (a rbKey) less(b rbKey) bool {
 	return a.seq < b.seq
 }
 
-// rbTree is an offset-sorted set of requests.
-type rbTree struct {
-	root *rbNode
+type rbNode[V comparable] struct {
+	key    rbKey
+	val    V
+	weight time.Duration
+	sum    time.Duration // weight of the whole subtree rooted here
+	color  rbColor
+	left   *rbNode[V]
+	right  *rbNode[V]
+	parent *rbNode[V]
+}
+
+// rbTree is an ordered set of values. A node stays valid from the Insert
+// that returns it until its Delete.
+type rbTree[V comparable] struct {
+	root *rbNode[V]
 	size int
 	seq  uint64
-	free *rbNode // recycled nodes, chained via right
+	free *rbNode[V] // recycled nodes, chained via right
 }
 
-// Len returns the number of stored requests.
-func (t *rbTree) Len() int { return t.size }
+func sumOf[V comparable](n *rbNode[V]) time.Duration {
+	if n == nil {
+		return 0
+	}
+	return n.sum
+}
 
-func (t *rbTree) getNode() *rbNode {
+func colorOf[V comparable](n *rbNode[V]) rbColor {
+	if n == nil {
+		return rbBlack
+	}
+	return n.color
+}
+
+func minNode[V comparable](n *rbNode[V]) *rbNode[V] {
+	for n.left != nil {
+		n = n.left
+	}
+	return n
+}
+
+// resum recomputes n's subtree sum from its children.
+func (n *rbNode[V]) resum() { n.sum = sumOf(n.left) + sumOf(n.right) + n.weight }
+
+// Len returns the number of stored values.
+func (t *rbTree[V]) Len() int { return t.size }
+
+func (t *rbTree[V]) getNode() *rbNode[V] {
 	if n := t.free; n != nil {
 		t.free = n.right
-		*n = rbNode{}
+		n.right = nil
 		return n
 	}
-	return &rbNode{}
+	return &rbNode[V]{}
 }
 
-func (t *rbTree) putNode(n *rbNode) {
-	*n = rbNode{}
+func (t *rbTree[V]) putNode(n *rbNode[V]) {
+	*n = rbNode[V]{}
 	n.right = t.free
 	t.free = n
 }
 
-// Insert adds a request keyed by its offset.
-func (t *rbTree) Insert(req *blockio.Request) {
+// Insert adds v at offset off with weight w, after every value already at
+// that offset, and returns its node.
+func (t *rbTree[V]) Insert(off int64, v V, w time.Duration) *rbNode[V] {
 	t.seq++
 	n := t.getNode()
-	n.key, n.req, n.color = rbKey{req.Offset, t.seq}, req, rbRed
+	n.key, n.val, n.weight, n.sum, n.color = rbKey{off, t.seq}, v, w, w, rbRed
 	t.size++
-	if t.root == nil {
-		n.color = rbBlack
-		t.root = n
-		return
-	}
-	cur := t.root
-	for {
+	var parent *rbNode[V]
+	for cur := t.root; cur != nil; {
+		cur.sum += w
+		parent = cur
 		if n.key.less(cur.key) {
-			if cur.left == nil {
-				cur.left = n
-				n.parent = cur
-				break
-			}
 			cur = cur.left
 		} else {
-			if cur.right == nil {
-				cur.right = n
-				n.parent = cur
-				break
-			}
 			cur = cur.right
 		}
 	}
+	n.parent = parent
+	switch {
+	case parent == nil:
+		t.root = n
+	case n.key.less(parent.key):
+		parent.left = n
+	default:
+		parent.right = n
+	}
 	t.insertFixup(n)
+	return n
 }
 
-func (t *rbTree) insertFixup(n *rbNode) {
+// Min returns the lowest-keyed node, or nil.
+func (t *rbTree[V]) Min() *rbNode[V] {
+	if t.root == nil {
+		return nil
+	}
+	return minNode(t.root)
+}
+
+// PopMin removes the lowest-keyed node and returns its value, or the zero
+// value when the tree is empty.
+func (t *rbTree[V]) PopMin() V {
+	n := t.Min()
+	if n == nil {
+		var zero V
+		return zero
+	}
+	v := n.val
+	t.Delete(n)
+	return v
+}
+
+// CeilingFrom returns the lowest-keyed node with offset ≥ off, or nil —
+// the "continue in the current seek direction" dispatch choice.
+func (t *rbTree[V]) CeilingFrom(off int64) *rbNode[V] {
+	var best *rbNode[V]
+	for cur := t.root; cur != nil; {
+		if cur.key.offset >= off {
+			best = cur
+			cur = cur.left
+		} else {
+			cur = cur.right
+		}
+	}
+	return best
+}
+
+// Find returns the node holding v at offset off, or nil.
+func (t *rbTree[V]) Find(off int64, v V) *rbNode[V] { return findFrom(t.root, off, v) }
+
+func findFrom[V comparable](n *rbNode[V], off int64, v V) *rbNode[V] {
+	for n != nil {
+		switch {
+		case n.val == v:
+			return n
+		case off < n.key.offset:
+			n = n.left
+		case off > n.key.offset:
+			n = n.right
+		default:
+			// Same offset: the sequence tie-break can have put v on
+			// either side; search both.
+			if found := findFrom(n.left, off, v); found != nil {
+				return found
+			}
+			n = n.right
+		}
+	}
+	return nil
+}
+
+// addWeight adds delta to n's weight and to the sum of n and every
+// ancestor.
+func (t *rbTree[V]) addWeight(n *rbNode[V], delta time.Duration) {
+	n.weight += delta
+	for ; n != nil; n = n.parent {
+		n.sum += delta
+	}
+}
+
+// prefixBefore returns the weight of every node ordered before x.
+func (t *rbTree[V]) prefixBefore(x *rbNode[V]) time.Duration {
+	sum := sumOf(x.left)
+	for ; x.parent != nil; x = x.parent {
+		if x == x.parent.right {
+			sum += x.parent.weight + sumOf(x.parent.left)
+		}
+	}
+	return sum
+}
+
+// total returns the weight of every node on the tree.
+func (t *rbTree[V]) total() time.Duration { return sumOf(t.root) }
+
+// Delete removes node z (CLRS RB-DELETE).
+func (t *rbTree[V]) Delete(z *rbNode[V]) {
+	t.size--
+	var x, xParent *rbNode[V]
+	yColor := z.color
+	switch {
+	case z.left == nil:
+		x, xParent = z.right, z.parent
+		t.transplant(z, z.right)
+	case z.right == nil:
+		x, xParent = z.left, z.parent
+		t.transplant(z, z.left)
+	default:
+		y := minNode(z.right)
+		yColor = y.color
+		x = y.right
+		if y.parent == z {
+			xParent = y
+		} else {
+			xParent = y.parent
+			t.transplant(y, y.right)
+			y.right = z.right
+			y.right.parent = y
+		}
+		t.transplant(z, y)
+		y.left = z.left
+		y.left.parent = y
+		y.color = z.color
+	}
+	// Every subtree that lost z, or gained or lost its successor, is
+	// rooted on the path from xParent up.
+	for a := xParent; a != nil; a = a.parent {
+		a.resum()
+	}
+	if yColor == rbBlack {
+		t.deleteFixup(x, xParent)
+	}
+	t.putNode(z)
+}
+
+func (t *rbTree[V]) transplant(u, v *rbNode[V]) {
+	switch {
+	case u.parent == nil:
+		t.root = v
+	case u == u.parent.left:
+		u.parent.left = v
+	default:
+		u.parent.right = v
+	}
+	if v != nil {
+		v.parent = u.parent
+	}
+}
+
+// rotateLeft rotates x down-left and recomputes the two changed sums
+// bottom-up (x first: it becomes the child).
+func (t *rbTree[V]) rotateLeft(x *rbNode[V]) {
+	y := x.right
+	x.right = y.left
+	if y.left != nil {
+		y.left.parent = x
+	}
+	y.parent = x.parent
+	switch {
+	case x.parent == nil:
+		t.root = y
+	case x == x.parent.left:
+		x.parent.left = y
+	default:
+		x.parent.right = y
+	}
+	y.left = x
+	x.parent = y
+	x.resum()
+	y.resum()
+}
+
+func (t *rbTree[V]) rotateRight(x *rbNode[V]) {
+	y := x.left
+	x.left = y.right
+	if y.right != nil {
+		y.right.parent = x
+	}
+	y.parent = x.parent
+	switch {
+	case x.parent == nil:
+		t.root = y
+	case x == x.parent.right:
+		x.parent.right = y
+	default:
+		x.parent.left = y
+	}
+	y.right = x
+	x.parent = y
+	x.resum()
+	y.resum()
+}
+
+func (t *rbTree[V]) insertFixup(n *rbNode[V]) {
 	for n.parent != nil && n.parent.color == rbRed {
 		gp := n.parent.parent
 		if n.parent == gp.left {
@@ -135,193 +360,7 @@ func (t *rbTree) insertFixup(n *rbNode) {
 	t.root.color = rbBlack
 }
 
-func (t *rbTree) rotateLeft(x *rbNode) {
-	y := x.right
-	x.right = y.left
-	if y.left != nil {
-		y.left.parent = x
-	}
-	y.parent = x.parent
-	switch {
-	case x.parent == nil:
-		t.root = y
-	case x == x.parent.left:
-		x.parent.left = y
-	default:
-		x.parent.right = y
-	}
-	y.left = x
-	x.parent = y
-}
-
-func (t *rbTree) rotateRight(x *rbNode) {
-	y := x.left
-	x.left = y.right
-	if y.right != nil {
-		y.right.parent = x
-	}
-	y.parent = x.parent
-	switch {
-	case x.parent == nil:
-		t.root = y
-	case x == x.parent.right:
-		x.parent.right = y
-	default:
-		x.parent.left = y
-	}
-	y.right = x
-	x.parent = y
-}
-
-func (t *rbTree) minNode(n *rbNode) *rbNode {
-	for n.left != nil {
-		n = n.left
-	}
-	return n
-}
-
-// Min returns the lowest-offset request, or nil.
-func (t *rbTree) Min() *blockio.Request {
-	if t.root == nil {
-		return nil
-	}
-	return t.minNode(t.root).req
-}
-
-// CeilingFrom returns the lowest-offset request with offset ≥ off, or nil —
-// the CFQ "continue in the current seek direction" dispatch choice.
-func (t *rbTree) CeilingFrom(off int64) *blockio.Request {
-	var best *rbNode
-	cur := t.root
-	probe := rbKey{off, 0}
-	for cur != nil {
-		if probe.less(cur.key) || probe == cur.key {
-			best = cur
-			cur = cur.left
-		} else {
-			cur = cur.right
-		}
-	}
-	if best == nil {
-		return nil
-	}
-	return best.req
-}
-
-// PopMin removes and returns the lowest-offset request, or nil.
-func (t *rbTree) PopMin() *blockio.Request {
-	if t.root == nil {
-		return nil
-	}
-	n := t.minNode(t.root)
-	req := n.req
-	t.delete(n)
-	return req
-}
-
-// Remove deletes the node holding req (matched by identity). It returns
-// whether the request was found.
-func (t *rbTree) Remove(req *blockio.Request) bool {
-	n := t.findReq(t.root, req)
-	if n == nil {
-		return false
-	}
-	t.delete(n)
-	return true
-}
-
-func (t *rbTree) findReq(n *rbNode, req *blockio.Request) *rbNode {
-	for n != nil {
-		if n.req == req {
-			return n
-		}
-		if req.Offset < n.key.offset {
-			n = n.left
-		} else if req.Offset > n.key.offset {
-			n = n.right
-		} else {
-			// Same offset: identity can be on either side due to seq
-			// tiebreak; search both.
-			if found := t.findReq(n.left, req); found != nil {
-				return found
-			}
-			n = n.right
-		}
-	}
-	return nil
-}
-
-// Each visits requests in ascending offset order; return false to stop.
-func (t *rbTree) Each(fn func(*blockio.Request) bool) {
-	var walk func(n *rbNode) bool
-	walk = func(n *rbNode) bool {
-		if n == nil {
-			return true
-		}
-		if !walk(n.left) {
-			return false
-		}
-		if !fn(n.req) {
-			return false
-		}
-		return walk(n.right)
-	}
-	walk(t.root)
-}
-
-// delete removes node z (CLRS RB-DELETE).
-func (t *rbTree) delete(z *rbNode) {
-	t.size--
-	var x, xParent *rbNode
-	y := z
-	yColor := y.color
-	switch {
-	case z.left == nil:
-		x = z.right
-		xParent = z.parent
-		t.transplant(z, z.right)
-	case z.right == nil:
-		x = z.left
-		xParent = z.parent
-		t.transplant(z, z.left)
-	default:
-		y = t.minNode(z.right)
-		yColor = y.color
-		x = y.right
-		if y.parent == z {
-			xParent = y
-		} else {
-			xParent = y.parent
-			t.transplant(y, y.right)
-			y.right = z.right
-			y.right.parent = y
-		}
-		t.transplant(z, y)
-		y.left = z.left
-		y.left.parent = y
-		y.color = z.color
-	}
-	if yColor == rbBlack {
-		t.deleteFixup(x, xParent)
-	}
-	t.putNode(z)
-}
-
-func (t *rbTree) transplant(u, v *rbNode) {
-	switch {
-	case u.parent == nil:
-		t.root = v
-	case u == u.parent.left:
-		u.parent.left = v
-	default:
-		u.parent.right = v
-	}
-	if v != nil {
-		v.parent = u.parent
-	}
-}
-
-func (t *rbTree) deleteFixup(x *rbNode, parent *rbNode) {
+func (t *rbTree[V]) deleteFixup(x *rbNode[V], parent *rbNode[V]) {
 	for x != t.root && colorOf(x) == rbBlack {
 		if parent == nil {
 			break
@@ -401,11 +440,4 @@ func (t *rbTree) deleteFixup(x *rbNode, parent *rbNode) {
 	if x != nil {
 		x.color = rbBlack
 	}
-}
-
-func colorOf(n *rbNode) rbColor {
-	if n == nil {
-		return rbBlack
-	}
-	return n.color
 }
