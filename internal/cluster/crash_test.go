@@ -47,7 +47,7 @@ func TestCrashDropsInFlightAndRefuses(t *testing.T) {
 	if !errors.Is(refusedErr, ErrNodeDown) {
 		t.Fatalf("get on a down node got %v, want ErrNodeDown", refusedErr)
 	}
-	n.ServePut(9, func(err error) { refusedErr = err })
+	n.ServePutSLO(9, 0, func(err error) { refusedErr = err })
 	if !errors.Is(refusedErr, ErrNodeDown) {
 		t.Fatalf("put on a down node got %v, want ErrNodeDown", refusedErr)
 	}
