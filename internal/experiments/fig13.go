@@ -50,7 +50,7 @@ func Fig13(opt Options) *Fig13Result {
 	runLegs(ropt.Workers, legs{func(a *legArena) {
 		fb := a.newFleet(ropt, fleetDisk, false, "fig13-base")
 		fb.addEC2DiskNoise(ropt)
-		baseIO = fig13Run(fb, ropt, nil, nil)
+		baseIO = fig13Run(fb, ropt, nil)
 	}})
 	p95 := baseIO.Percentile(95)
 	res.Series = append(res.Series, Series{Name: "Base", Sample: baseIO})
@@ -70,7 +70,7 @@ func Fig13(opt Options) *Fig13Result {
 				Rejected:    watch.Rejected(),
 			})
 		})
-		mittIO = fig13Run(fm, ropt, &p95, nil)
+		mittIO = fig13Run(fm, ropt, &p95)
 	}})
 	res.Series = append(res.Series, Series{Name: "MittCFQ", Sample: mittIO})
 	res.Timeline = timeline
@@ -88,7 +88,7 @@ func Fig13(opt Options) *Fig13Result {
 
 // fig13Run drives a 90/10 read/insert workload (LSM churn included) with
 // either Base gets or MittOS failover gets.
-func fig13Run(f *fleet, opt Options, deadline *time.Duration, _ interface{}) *stats.Sample {
+func fig13Run(f *fleet, opt Options, deadline *time.Duration) *stats.Sample {
 	io := stats.NewSample(1 << 14)
 	var strat cluster.Strategy
 	if deadline != nil {
