@@ -64,6 +64,9 @@ func TestAllocBudgets(t *testing.T) {
 		// mirror's dispatch hook and the scheduler's device slot.
 		{"DeadlineSubmitAccept", func() func() { return newSubmitLoop(SchedulerDeadline) }},
 		{"PutAccepted", newPutLoop},
+		// The cluster's call shapes: request and reply hops, serve
+		// contexts and the one call context behind all three.
+		{"ReplicaCalls", newCallLoop},
 		// A smaller NVRAM ring than the benchmark's, already grown: the
 		// ring reuses its backing slice and the disk its pooled ack and
 		// service completions.
@@ -92,6 +95,28 @@ func TestAllocBudgets(t *testing.T) {
 			}
 		})
 	}
+	t.Run("CachedStackMissRead", func(t *testing.T) {
+		// A read that misses a root Stack's page cache: the cache's
+		// read-through sub-IO enters the block layer through the pooled
+		// cluster.TargetDevice adapter, which recycles it at completion.
+		// The Request that Stack.Read returns is the whole budget.
+		eng := NewEngine()
+		s := NewStack(eng, StackConfig{Device: DeviceDisk, CachePages: 64, Seed: 1})
+		done := func(error) {}
+		i := 0
+		read := func() {
+			// 256 pages cycled through a 64-page LRU: every read misses.
+			s.Read(int64(i%256)<<30, 4096, 0, done)
+			eng.Run()
+			i++
+		}
+		for k := 0; k < 512; k++ { // warm the page table and every pool
+			read()
+		}
+		if avg := testing.AllocsPerRun(200, read); avg != 1 {
+			t.Fatalf("a cache-miss read allocates %.2f objects; budget is exactly 1 (the Request)", avg)
+		}
+	})
 	t.Run("EngineSchedule", func(t *testing.T) {
 		eng := NewEngine()
 		// Warm the event freelist.

@@ -281,6 +281,39 @@ func BenchmarkPutAdmission(b *testing.B) {
 	benchLoop(b, newPutLoop())
 }
 
+// newCallLoop builds an idle 3-node Mitt fleet and returns one step of the
+// cluster's three call shapes run until they finish: a ReplicaCall and a
+// PutCall, each with a 1 s deadline, and a PutOneWay. That is the request
+// hops, the nodes' serve contexts, the kv get and WAL group commits, the
+// reply hops and the recycling of every pooled context. The step panics if
+// a call goes unanswered.
+func newCallLoop() (step func()) {
+	eng, c := newAllocCluster("call-loop", true)
+	pending := 0
+	done := func(error) { pending-- }
+	step = func() {
+		pending = 2
+		c.ReplicaCall(0, 7, time.Second, done)
+		c.PutCall(1, 7, time.Second, done)
+		c.PutOneWay(2, 7)
+		eng.Run()
+		if pending != 0 {
+			panic("call unanswered")
+		}
+	}
+	for i := 0; i < 64; i++ { // warm every pool on the path
+		step()
+	}
+	return step
+}
+
+// BenchmarkReplicaCalls measures the node serve path on its own: one
+// ReplicaCall, one PutCall and one PutOneWay per op, allocation-free in
+// steady state.
+func BenchmarkReplicaCalls(b *testing.B) {
+	benchLoop(b, newCallLoop())
+}
+
 // newAdmissionLoop builds a MittNoop disk stack with 16 large reads queued
 // and returns one admission prediction for a 4 KB read, its offset stepping
 // across the disk so the SSTF-mirror replay sees a new seek each time.

@@ -27,8 +27,8 @@ out=$(cd "$2" && pwd)
 # GOMAXPROCS=1: experiment legs then run serially, which makes their
 # allocation counts repeat run to run.
 hot=(AdmissionDecision PredictWaitCFQ CFQSubmitDispatch DeadlineSubmitDispatch
-	PutAdmission DiskDestage SeekCost EngineThroughput EngineCancelHeavy
-	EngineMixedHorizon)
+	PutAdmission ReplicaCalls DiskDestage SeekCost EngineThroughput
+	EngineCancelHeavy EngineMixedHorizon)
 experiments=(Fig4 YCSBMix LoadSweep)
 rounds=7
 
