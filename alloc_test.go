@@ -59,10 +59,17 @@ func TestAllocBudgets(t *testing.T) {
 	}{
 		{"AdmissionDecision", newAdmissionLoop},
 		{"CFQPredictWait", func() func() { return newCFQPredictLoop(32) }},
-		{"CFQSubmitAccept", func() func() { return newSubmitLoop(SchedulerCFQ) }},
+		{"CFQSubmitAccept", func() func() {
+			return newSubmitLoop(StackConfig{Device: DeviceDisk, Scheduler: SchedulerCFQ})
+		}},
 		// The deadline-scheduler twin: MittDeadline's op, the SSTF
 		// mirror's dispatch hook and the scheduler's device slot.
-		{"DeadlineSubmitAccept", func() func() { return newSubmitLoop(SchedulerDeadline) }},
+		{"DeadlineSubmitAccept", func() func() {
+			return newSubmitLoop(StackConfig{Device: DeviceDisk, Scheduler: SchedulerDeadline})
+		}},
+		// The flash twin: MittSSD's gate op and channel decrements, the
+		// SSD's I/O group and page ops.
+		{"SSDSubmitAccept", func() func() { return newSubmitLoop(StackConfig{Device: DeviceSSD}) }},
 		{"PutAccepted", newPutLoop},
 		// The cluster's call shapes: request and reply hops, serve
 		// contexts and the one call context behind all three.

@@ -369,13 +369,21 @@ func BenchmarkPredictWaitCFQ(b *testing.B) {
 	}
 }
 
-// newSubmitLoop builds a Mitt disk stack over the given scheduler and
-// returns one pooled 4 KB read with an SLO run to completion: admission
-// (and, under CFQ, the tolerable-table entry), dispatch, disk service,
-// completion, and recycling of every pooled context.
-func newSubmitLoop(sched SchedulerKind) (step func()) {
+// newSubmitLoop builds a Mitt stack of the given device and scheduler and
+// returns one pooled read with an SLO run to completion: admission (and,
+// under CFQ, the tolerable-table entry), dispatch, device service,
+// completion, and recycling of every pooled context. A disk read is 4 KB,
+// stepped 1 GiB apart over 900 GiB; an SSD read is 64 KB, four 16 KB pages
+// on four chips, each with its channel decrement and page op, stepped over
+// the first 4 GiB.
+func newSubmitLoop(cfg StackConfig) (step func()) {
 	eng := NewEngine()
-	s := NewStack(eng, StackConfig{Device: DeviceDisk, Scheduler: sched, Mitt: true, Seed: 1})
+	cfg.Mitt, cfg.Seed = true, 1
+	s := NewStack(eng, cfg)
+	size, stride, steps := 4096, int64(1)<<30, 900
+	if cfg.Device == DeviceSSD {
+		size, stride, steps = 64<<10, 64<<10, (4<<30)/(64<<10)
+	}
 	var pool blockio.Pool
 	var ids blockio.IDGen
 	var cur *blockio.Request
@@ -384,18 +392,18 @@ func newSubmitLoop(sched SchedulerKind) (step func()) {
 		cur = pool.Get()
 		cur.ID = ids.Next()
 		cur.Op = blockio.Read
-		cur.Offset, cur.Size = off, 4096
+		cur.Offset, cur.Size = off, size
 		cur.Proc = 1
 		cur.Deadline = time.Second
 		s.Target().SubmitSLO(cur, done)
 		eng.Run()
 	}
 	for i := 0; i < 64; i++ { // warm every pool on the path
-		submit(int64(i+1) * (10 << 30))
+		submit(int64(i+1) * (10 << 30) % (stride * int64(steps)))
 	}
 	i := 0
 	return func() {
-		submit(int64(i%900) << 30)
+		submit(int64(i%steps) * stride)
 		i++
 	}
 }
@@ -403,14 +411,21 @@ func newSubmitLoop(sched SchedulerKind) (step func()) {
 // BenchmarkCFQSubmitDispatch measures the full MittCFQ accept round trip —
 // the per-IO cost of the busiest experiment path.
 func BenchmarkCFQSubmitDispatch(b *testing.B) {
-	benchLoop(b, newSubmitLoop(SchedulerCFQ))
+	benchLoop(b, newSubmitLoop(StackConfig{Device: DeviceDisk, Scheduler: SchedulerCFQ}))
 }
 
 // BenchmarkDeadlineSubmitDispatch is its MittDeadline twin: admission, the
 // deadline scheduler's offset sort and FIFO, dispatch, completion, and
 // recycling.
 func BenchmarkDeadlineSubmitDispatch(b *testing.B) {
-	benchLoop(b, newSubmitLoop(SchedulerDeadline))
+	benchLoop(b, newSubmitLoop(StackConfig{Device: DeviceDisk, Scheduler: SchedulerDeadline}))
+}
+
+// BenchmarkSSDSubmitDispatch is the flash round trip: MittSSD's per-page
+// prediction and channel decrements, the SSD's I/O group and page ops
+// through chip and channel, completion, and recycling.
+func BenchmarkSSDSubmitDispatch(b *testing.B) {
+	benchLoop(b, newSubmitLoop(StackConfig{Device: DeviceSSD}))
 }
 
 // newDestageLoop builds a disk whose NVRAM buffer is filled to within two

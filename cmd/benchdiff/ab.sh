@@ -27,7 +27,7 @@ out=$(cd "$2" && pwd)
 # GOMAXPROCS=1: experiment legs then run serially, which makes their
 # allocation counts repeat run to run.
 hot=(AdmissionDecision PredictWaitCFQ CFQSubmitDispatch DeadlineSubmitDispatch
-	PutAdmission ReplicaCalls DiskDestage SeekCost EngineThroughput
+	SSDSubmitDispatch PutAdmission ReplicaCalls DiskDestage SeekCost EngineThroughput
 	EngineCancelHeavy EngineMixedHorizon)
 experiments=(Fig4 YCSBMix LoadSweep)
 rounds=7
