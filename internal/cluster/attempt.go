@@ -95,7 +95,7 @@ func newAttempt() *attempt {
 
 // acquire takes a pooled op; wasted (or nil) counts a get's late replies that ran.
 func (c *Cluster) acquire(pol policy, key int64, onDone func(GetResult), wasted *uint64) *op {
-	o := c.pools.ops.get(newOp)
+	o := c.pools.ops.Get(newOp)
 	o.pol, o.c, o.key, o.start = pol, c, key, c.Eng.Now()
 	o.replicas = c.ReplicasInto(key, o.replicas)
 	o.onGet, o.wasted = onDone, wasted
@@ -125,7 +125,7 @@ const noTimer time.Duration = -1
 // send issues an attempt to node, arming timer on it first unless it is
 // noTimer. Flags set on the result still apply: the hop has not landed.
 func (o *op) send(node int, deadline, timer time.Duration) *attempt {
-	a := o.c.pools.attempts.get(newAttempt)
+	a := o.c.pools.attempts.Get(newAttempt)
 	a.op, a.node, a.deadline = o, node, deadline
 	o.sent++
 	o.pending++
@@ -287,12 +287,12 @@ func (o *op) deref() {
 	for _, a := range o.attempts {
 		a.release()
 		a.op, a.err, a.revocable, a.extra, a.done = nil, nil, false, false, false
-		p.attempts.put(a)
+		p.attempts.Put(a)
 	}
 	o.attempts, o.rejects = o.attempts[:0], o.rejects[:0]
 	o.onGet, o.onPut, o.pc, o.wasted = nil, nil, nil, nil
 	o.probe, o.won, o.sent, o.pending, o.idx = false, false, 0, 0, 0
-	p.ops.put(o)
+	p.ops.Put(o)
 }
 
 // release hands a's revocation handle back, if it still holds one.

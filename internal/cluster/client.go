@@ -144,8 +144,8 @@ type Client struct {
 	// CO-free start time every request's latency is measured from.
 	nextAt sim.Time
 
-	tickFn   func()            // pre-bound issue timer
-	userFree freelist[userReq] // pooled per-user-request contexts
+	tickFn   func()                // pre-bound issue timer
+	userFree sim.Freelist[userReq] // pooled per-user-request contexts
 }
 
 // userReq is one in-flight user request: the scale-factor fan-out shares a
@@ -236,7 +236,7 @@ func (u *userReq) finish() {
 		}
 	}
 	cl.cfg.Inflight.dec()
-	cl.userFree.put(u)
+	cl.userFree.Put(u)
 	if cl.cfg.Closed {
 		cl.scheduleNext()
 	}
@@ -375,7 +375,7 @@ func (cl *Client) tick() {
 
 func (cl *Client) issueOne() {
 	cl.issued++
-	u := cl.userFree.get(newUserReq)
+	u := cl.userFree.Get(newUserReq)
 	u.cl = cl
 	// The latency clock starts at the *intended* arrival tick, not the
 	// moment the loop got around to issuing — the coordinated-omission-free

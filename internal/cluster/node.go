@@ -106,16 +106,16 @@ type NodeConfig struct {
 // arena can carry a warm bundle across legs instead of re-growing every pool
 // from zero.
 type Pools struct {
-	serves  freelist[serveCtx]
-	handles freelist[ServeHandle]
-	calls   freelist[callCtx]
+	serves  sim.Freelist[serveCtx]
+	handles sim.Freelist[ServeHandle]
+	calls   sim.Freelist[callCtx]
 	// Client strategy ops and their replica attempts. These live here rather
 	// than on the strategy structs because experiments build a fresh strategy
 	// per leg: pooling per strategy would start every leg cold AND lose any
 	// op a wedged IO stranded past the leg's drain window. Ops rebind their
 	// owning strategy at acquire, exactly like the serve contexts above.
-	ops      freelist[op]
-	attempts freelist[attempt]
+	ops      sim.Freelist[op]
+	attempts sim.Freelist[attempt]
 	// Reqs is the shared block-IO request pool; nodes point their KV
 	// stores and page caches at it. (Requests recycle into the pool that
 	// created them, so the bundle must outlive every fleet using it.)
@@ -134,7 +134,7 @@ type Pools struct {
 type TargetDevice struct {
 	T        core.Target
 	inflight int
-	ops      freelist[tdOp]
+	ops      sim.Freelist[tdOp]
 }
 
 // tdOp is the adapter's pooled per-IO completion context, so a submit
@@ -154,7 +154,7 @@ func newTDOp() *tdOp {
 func (op *tdOp) done(error) {
 	d, req := op.d, op.req
 	op.req = nil
-	d.ops.put(op)
+	d.ops.Put(op)
 	d.inflight--
 	if req.AutoFree {
 		req.Release()
@@ -164,7 +164,7 @@ func (op *tdOp) done(error) {
 // Submit implements blockio.Device.
 func (d *TargetDevice) Submit(req *blockio.Request) {
 	d.inflight++
-	op := d.ops.get(newTDOp)
+	op := d.ops.Get(newTDOp)
 	op.d, op.req = d, req
 	d.T.SubmitSLO(req, op.fn)
 }
@@ -186,7 +186,7 @@ func traced(rec *metrics.Recorder, t core.Target) core.Target {
 type tracedTarget struct {
 	rec *metrics.Recorder
 	t   core.Target
-	ops freelist[ttOp]
+	ops sim.Freelist[ttOp]
 }
 
 // ttOp is the traced boundary's pooled per-IO context.
@@ -206,7 +206,7 @@ func newTTOp() *ttOp {
 func (op *ttOp) done(err error) {
 	t, req, onDone := op.t, op.req, op.onDone
 	op.req, op.onDone = nil, nil
-	t.ops.put(op)
+	t.ops.Put(op)
 	t.rec.IOEnd(req, err, core.IsBusy(err))
 	onDone(err)
 }
@@ -214,7 +214,7 @@ func (op *ttOp) done(err error) {
 // SubmitSLO implements core.Target.
 func (t *tracedTarget) SubmitSLO(req *blockio.Request, onDone func(error)) {
 	t.rec.IOBegin(req)
-	op := t.ops.get(newTTOp)
+	op := t.ops.Get(newTTOp)
 	op.t, op.req, op.onDone = t, req, onDone
 	t.t.SubmitSLO(req, op.fn)
 }
@@ -506,11 +506,11 @@ func (h *ServeHandle) deref() {
 	}
 	n := h.n
 	h.req, h.canceled, h.gen = nil, false, 0
-	n.pools.handles.put(h)
+	n.pools.handles.Put(h)
 }
 
 func (n *Node) getHandle() *ServeHandle {
-	h := n.pools.handles.get(nil)
+	h := n.pools.handles.Get(nil)
 	h.n = n // pooled across the fleet: rebind the owner
 	h.refs = 2
 	return h
@@ -571,7 +571,7 @@ func (n *Node) free(ctx *serveCtx) {
 	n.unlink(ctx)
 	ctx.aborted = false
 	ctx.onDone, ctx.h, ctx.req, ctx.err = nil, nil, nil, nil
-	n.pools.serves.put(ctx)
+	n.pools.serves.Put(ctx)
 }
 
 // abort is Crash's per-call teardown: the caller hears ErrNodeDown now (a
@@ -751,7 +751,7 @@ func (n *Node) serve(kind serveKind, key int64, deadline time.Duration, onDone f
 		return
 	}
 	n.served++
-	ctx := n.pools.serves.get(newServeCtx)
+	ctx := n.pools.serves.Get(newServeCtx)
 	ctx.n = n // pooled across the fleet: rebind the owner
 	ctx.kind, ctx.key, ctx.deadline, ctx.onDone, ctx.h = kind, key, deadline, onDone, h
 	n.link(ctx)
@@ -805,7 +805,7 @@ func newCallCtx() *callCtx {
 
 // call sends one call to node over the network.
 func (c *Cluster) call(kind serveKind, node int, key int64, deadline time.Duration, onDone func(error)) {
-	ctx := c.pools.calls.get(newCallCtx)
+	ctx := c.pools.calls.Get(newCallCtx)
 	ctx.c = c // pooled across fleets: rebind the owner
 	ctx.kind, ctx.node, ctx.key, ctx.deadline, ctx.onDone = kind, node, key, deadline, onDone
 	c.Net.Send(ctx.sendFn)
@@ -817,7 +817,7 @@ func (ctx *callCtx) send() {
 
 func (ctx *callCtx) serve(err error) {
 	if ctx.onDone == nil {
-		ctx.c.pools.calls.put(ctx) // one-way: nobody waits for a reply
+		ctx.c.pools.calls.Put(ctx) // one-way: nobody waits for a reply
 		return
 	}
 	ctx.err = err
@@ -835,7 +835,7 @@ func (ctx *callCtx) serve(err error) {
 func (ctx *callCtx) reply() {
 	c, onDone, err := ctx.c, ctx.onDone, ctx.err
 	ctx.onDone, ctx.err = nil, nil
-	c.pools.calls.put(ctx)
+	c.pools.calls.Put(ctx)
 	onDone(err)
 }
 
@@ -907,7 +907,7 @@ type CPUPool struct {
 	busy  int
 	queue []cpuTask
 	head  int
-	runs  freelist[cpuRun]
+	runs  sim.Freelist[cpuRun]
 }
 
 type cpuTask struct {
@@ -932,7 +932,7 @@ func newCPURun() *cpuRun {
 func (r *cpuRun) step() {
 	p, fn := r.p, r.fn
 	r.fn = nil
-	p.runs.put(r)
+	p.runs.Put(r)
 	p.busy--
 	fn()
 	p.kick()
@@ -976,7 +976,7 @@ func (p *CPUPool) kick() {
 			p.head = 0
 		}
 		p.busy++
-		r := p.runs.get(newCPURun)
+		r := p.runs.Get(newCPURun)
 		r.p, r.fn = p, t.fn
 		p.eng.After(t.d, r.stepFn)
 	}

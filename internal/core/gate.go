@@ -35,7 +35,7 @@ type gate struct {
 	rejected uint64
 
 	replies busyReplies
-	opFree  []*gateOp
+	ops     sim.Freelist[gateOp]
 	// layer settles completed IOs; nil when the layer keeps no completion
 	// bookkeeping.
 	layer settler
@@ -152,6 +152,8 @@ type gateOp struct {
 	rawBusy  bool      // the verdict shadow mode recorded
 }
 
+func newGateOp() *gateOp { op := &gateOp{}; op.fn = op.done; return op }
+
 func (op *gateOp) done(r *blockio.Request) {
 	g := op.g
 	if op.shadow || g.rec != nil {
@@ -178,7 +180,7 @@ func (op *gateOp) done(r *blockio.Request) {
 
 func (g *gate) release(op *gateOp) {
 	op.prev, op.onDone, op.entry = nil, nil, nil
-	g.opFree = append(g.opFree, op)
+	g.ops.Put(op)
 }
 
 // unwind takes back the op of an admitted IO that will never complete — one
@@ -249,14 +251,8 @@ func (g *waitGate) admit(req *blockio.Request, wait, svc time.Duration, onDone f
 	}
 	g.accepted++
 	g.rec.Admitted(g.res, req)
-	var op *gateOp
-	if n := len(g.opFree); n > 0 {
-		op = g.opFree[n-1]
-		g.opFree = g.opFree[:n-1]
-	} else {
-		op = &gateOp{g: &g.gate}
-		op.fn = op.done
-	}
+	op := g.ops.Get(newGateOp)
+	op.g = &g.gate
 	op.wait, op.svc = wait, svc
 	op.shadow, op.rawBusy = hasSLO && g.shadow, rawBusy
 	op.prev, op.onDone = req.OnComplete, onDone
@@ -270,7 +266,7 @@ func (g *waitGate) admit(req *blockio.Request, wait, svc time.Duration, onDone f
 type busyReplies struct {
 	eng  *sim.Engine
 	cost time.Duration
-	free []*busyReply
+	pool sim.Freelist[busyReply]
 }
 
 type busyReply struct {
@@ -280,24 +276,19 @@ type busyReply struct {
 	fn     func() // pre-bound r.fire
 }
 
+func newBusyReply() *busyReply { r := &busyReply{}; r.fn = r.fire; return r }
+
 func (r *busyReply) fire() {
 	c, onDone, err := r.c, r.onDone, r.err
 	r.onDone, r.err = nil, nil
-	c.free = append(c.free, r)
+	c.pool.Put(r)
 	onDone(err)
 }
 
 // busy schedules onDone(EBUSY carrying the predicted wait).
 func (c *busyReplies) busy(onDone func(error), wait time.Duration) {
-	var r *busyReply
-	if n := len(c.free); n > 0 {
-		r = c.free[n-1]
-		c.free = c.free[:n-1]
-	} else {
-		r = &busyReply{c: c}
-		r.fn = r.fire
-	}
-	r.onDone, r.err = onDone, &BusyError{PredictedWait: wait}
+	r := c.pool.Get(newBusyReply)
+	r.c, r.onDone, r.err = c, onDone, &BusyError{PredictedWait: wait}
 	c.eng.After(c.cost, r.fn)
 }
 
@@ -305,7 +296,7 @@ func (c *busyReplies) busy(onDone func(error), wait time.Duration) {
 // Vanilla's, and MittCache's hits and absorbed writes: chain the previous
 // completion hook, then hand the device verdict up.
 type plainOps struct {
-	free []*plainOp
+	pool sim.Freelist[plainOp]
 }
 
 type plainOp struct {
@@ -315,10 +306,12 @@ type plainOp struct {
 	fn     func(*blockio.Request) // pre-bound op.done
 }
 
+func newPlainOp() *plainOp { op := &plainOp{}; op.fn = op.done; return op }
+
 func (op *plainOp) done(r *blockio.Request) {
 	c, prev, onDone := op.c, op.prev, op.onDone
 	op.prev, op.onDone = nil, nil
-	c.free = append(c.free, op)
+	c.pool.Put(op)
 	err := r.Err // read before prev: the previous hook may recycle r
 	if prev != nil {
 		prev(r)
@@ -328,14 +321,7 @@ func (op *plainOp) done(r *blockio.Request) {
 
 // wrap chains a pooled plain wrapper onto req.
 func (c *plainOps) wrap(req *blockio.Request, onDone func(error)) {
-	var op *plainOp
-	if n := len(c.free); n > 0 {
-		op = c.free[n-1]
-		c.free = c.free[:n-1]
-	} else {
-		op = &plainOp{c: c}
-		op.fn = op.done
-	}
-	op.prev, op.onDone = req.OnComplete, onDone
+	op := c.pool.Get(newPlainOp)
+	op.c, op.prev, op.onDone = c, req.OnComplete, onDone
 	req.OnComplete = op.fn
 }

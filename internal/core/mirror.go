@@ -27,8 +27,8 @@ type sstfMirror struct {
 	headPos   int64
 	driftBias time.Duration
 
-	entryFree []*mirrorEntry // recycled entries
-	scratch   []*mirrorEntry // replay working set, reused across calls
+	entries sim.Freelist[mirrorEntry]
+	scratch []*mirrorEntry // replay working set, reused across calls
 }
 
 // DriftBias exposes the calibration residual. A persistently large value
@@ -70,14 +70,8 @@ func (m *sstfMirror) svcTime(from, off int64, sz int) time.Duration {
 
 // add registers a newly submitted IO.
 func (m *sstfMirror) add(req *blockio.Request) *mirrorEntry {
-	var e *mirrorEntry
-	if n := len(m.entryFree); n > 0 {
-		e = m.entryFree[n-1]
-		m.entryFree = m.entryFree[:n-1]
-	} else {
-		e = &mirrorEntry{m: m}
-	}
-	e.req, e.off, e.end, e.sz, e.at = req, req.Offset, req.End(), req.Size, m.eng.Now()
+	e := m.entries.Get(nil)
+	e.m, e.req, e.off, e.end, e.sz, e.at = m, req, req.Offset, req.End(), req.Size, m.eng.Now()
 	m.pending = append(m.pending, e)
 	if m.inService == nil {
 		m.start()
@@ -135,7 +129,7 @@ func (m *sstfMirror) forget(req *blockio.Request) (inService bool) {
 		if p.req == req {
 			m.pending = append(m.pending[:i], m.pending[i+1:]...)
 			p.req = nil
-			m.entryFree = append(m.entryFree, p)
+			m.entries.Put(p)
 			return p == m.inService
 		}
 	}

@@ -36,8 +36,8 @@ type MittCache struct {
 	// deadline under it means "I expect a cache hit".
 	minIO time.Duration
 
-	hits     plainOps // hit and absorbed-write completions
-	missFree []*cacheMissOp
+	hits   plainOps // hit and absorbed-write completions
+	misses sim.Freelist[cacheMissOp]
 }
 
 // cacheMissOp is the pooled lower-layer callback for the miss path: warm
@@ -49,10 +49,12 @@ type cacheMissOp struct {
 	fn     func(error) // pre-bound op.done
 }
 
+func newCacheMissOp() *cacheMissOp { op := &cacheMissOp{}; op.fn = op.done; return op }
+
 func (op *cacheMissOp) done(err error) {
 	m, req, onDone := op.m, op.req, op.onDone
 	op.req, op.onDone = nil, nil
-	m.missFree = append(m.missFree, op)
+	m.misses.Put(op)
 	if err == nil {
 		m.cache.Warm(req.Offset, req.Size)
 	}
@@ -130,14 +132,7 @@ func (m *MittCache) SubmitSLO(req *blockio.Request, onDone func(error)) {
 	// pages and populating the cache on success.
 	m.accepted++
 	m.rec.Incr(m.res, metrics.CAccepted)
-	var op *cacheMissOp
-	if n := len(m.missFree); n > 0 {
-		op = m.missFree[n-1]
-		m.missFree = m.missFree[:n-1]
-	} else {
-		op = &cacheMissOp{m: m}
-		op.fn = op.done
-	}
-	op.req, op.onDone = req, onDone
+	op := m.misses.Get(newCacheMissOp)
+	op.m, op.req, op.onDone = m, req, onDone
 	m.lower.SubmitSLO(req, op.fn)
 }

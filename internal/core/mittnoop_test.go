@@ -182,8 +182,8 @@ func TestMittNoopRevokedIOsReleased(t *testing.T) {
 		if w := r.mitt.PredictWait(); w != 0 {
 			t.Errorf("naive=%v: idle disk predicts %v of wait", naive, w)
 		}
-		if got := len(r.mitt.opFree); got != n {
-			t.Errorf("naive=%v: %d of %d ops back in the pool", naive, got, n)
+		if out := r.mitt.ops.InUse(); out != 0 {
+			t.Errorf("naive=%v: %d of %d ops still out of the pool", naive, out, n)
 		}
 		// Reuse the recycled requests, then ask the idle disk for a read
 		// with a tight SLO.

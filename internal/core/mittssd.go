@@ -44,7 +44,7 @@ type MittSSD struct {
 	pattern  []time.Duration
 	writeIdx []int
 
-	decFree []*chanDec
+	decs sim.Freelist[chanDec]
 	// chanPages is admission scratch: pages of the current request per
 	// channel. Invariant: all-zero between submissions — each accepted
 	// submission re-zeroes exactly the channels it touched.
@@ -59,9 +59,11 @@ type chanDec struct {
 	fn func() // pre-bound d.fire
 }
 
+func newChanDec() *chanDec { d := &chanDec{}; d.fn = d.fire; return d }
+
 func (d *chanDec) fire() {
 	m, ch := d.m, d.ch
-	m.decFree = append(m.decFree, d)
+	m.decs.Put(d)
 	if m.chanOut[ch] > 0 {
 		m.chanOut[ch]--
 	}
@@ -163,15 +165,8 @@ func (m *MittSSD) SubmitSLO(req *blockio.Request, onDone func(error)) {
 		m.chanPages[chanID]++
 		m.chipNextFree[chipID] = m.chipNextFree[chipID].Add(cost)
 		m.chanOut[chanID]++
-		var d *chanDec
-		if n := len(m.decFree); n > 0 {
-			d = m.decFree[n-1]
-			m.decFree = m.decFree[:n-1]
-		} else {
-			d = &chanDec{m: m}
-			d.fn = d.fire
-		}
-		d.ch = chanID
+		d := m.decs.Get(newChanDec)
+		d.m, d.ch = m, chanID
 		m.eng.After(xferAt, d.fn)
 	}
 	// Restore the scratch's all-zero invariant, touching only the channels

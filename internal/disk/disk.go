@@ -164,8 +164,8 @@ type Disk struct {
 	// onSlotFree lets the scheduler above refill the device queue.
 	onSlotFree func()
 
-	svcFree []*diskSvcOp
-	ackFree []*diskAckOp
+	svcs sim.Freelist[diskSvcOp]
+	acks sim.Freelist[diskAckOp]
 
 	rec *metrics.Recorder
 }
@@ -179,10 +179,12 @@ type diskSvcOp struct {
 	fn       func() // pre-bound op.fire
 }
 
+func newDiskSvcOp() *diskSvcOp { op := &diskSvcOp{}; op.fn = op.fire; return op }
+
 func (op *diskSvcOp) fire() {
 	d, req, destaged := op.d, op.req, op.destaged
 	op.req = nil
-	d.svcFree = append(d.svcFree, op)
+	d.svcs.Put(op)
 	d.headPos = req.End()
 	d.busy = false
 	d.served++
@@ -202,10 +204,12 @@ type diskAckOp struct {
 	fn  func() // pre-bound op.fire
 }
 
+func newDiskAckOp() *diskAckOp { op := &diskAckOp{}; op.fn = op.fire; return op }
+
 func (op *diskAckOp) fire() {
 	d, req := op.d, op.req
 	op.req = nil
-	d.ackFree = append(d.ackFree, op)
+	d.acks.Put(op)
 	d.complete(req)
 }
 
@@ -286,15 +290,8 @@ func (d *Disk) Submit(req *blockio.Request) {
 		// acked (and possibly recycled by its owner) before the spindle
 		// writes the data back.
 		d.destage.push(destageRec{offset: req.Offset, size: req.Size}, d.cfg.WriteBufferSlots)
-		var op *diskAckOp
-		if n := len(d.ackFree); n > 0 {
-			op = d.ackFree[n-1]
-			d.ackFree = d.ackFree[:n-1]
-		} else {
-			op = &diskAckOp{d: d}
-			op.fn = op.fire
-		}
-		op.req = req
+		op := d.acks.Get(newDiskAckOp)
+		op.d, op.req = d, req
 		d.eng.After(d.cfg.WriteAckLatency, op.fn)
 		d.kick() // idle disks destage immediately
 		return
@@ -317,15 +314,8 @@ func (d *Disk) kick() {
 		d.rec.DevStart(metrics.RDisk, req)
 	}
 	svc := d.ServiceTime(d.headPos, req)
-	var op *diskSvcOp
-	if n := len(d.svcFree); n > 0 {
-		op = d.svcFree[n-1]
-		d.svcFree = d.svcFree[:n-1]
-	} else {
-		op = &diskSvcOp{d: d}
-		op.fn = op.fire
-	}
-	op.req, op.destaged = req, destaged
+	op := d.svcs.Get(newDiskSvcOp)
+	op.d, op.req, op.destaged = d, req, destaged
 	d.eng.After(svc, op.fn)
 }
 

@@ -491,7 +491,7 @@ func (c *CFQ) dispatchFrom(n *procNode) *blockio.Request {
 type devSlots struct {
 	used int    // IOs dispatched and not yet complete
 	pump func() // the scheduler's refill
-	free []*slotDone
+	pool sim.Freelist[slotDone]
 }
 
 type slotDone struct {
@@ -500,10 +500,12 @@ type slotDone struct {
 	fn   func(*blockio.Request) // pre-bound d.done
 }
 
+func newSlotDone() *slotDone { d := &slotDone{}; d.fn = d.done; return d }
+
 func (d *slotDone) done(r *blockio.Request) {
 	s, prev := d.s, d.prev
 	d.prev = nil
-	s.free = append(s.free, d)
+	s.pool.Put(d)
 	s.used--
 	if prev != nil {
 		prev(r)
@@ -515,14 +517,7 @@ func (d *slotDone) done(r *blockio.Request) {
 // its completion.
 func (s *devSlots) take(req *blockio.Request) {
 	s.used++
-	var d *slotDone
-	if n := len(s.free); n > 0 {
-		d = s.free[n-1]
-		s.free = s.free[:n-1]
-	} else {
-		d = &slotDone{s: s}
-		d.fn = d.done
-	}
-	d.prev = req.OnComplete
+	d := s.pool.Get(newSlotDone)
+	d.s, d.prev = s, req.OnComplete
 	req.OnComplete = d.fn
 }

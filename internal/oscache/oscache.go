@@ -91,10 +91,10 @@ type Cache struct {
 	ids      blockio.IDGen
 	inflight int
 
-	// Per-IO freelists: background sub-requests and the hit/miss
+	// Per-IO pools: background sub-requests and the hit/miss
 	// completion contexts that replace per-IO closures.
 	reqs    *blockio.Pool
-	opFree  []*cacheOp
+	ops     sim.Freelist[cacheOp]
 	victims []*page // EvictFraction scratch
 
 	hits, misses, evictions uint64
@@ -231,23 +231,17 @@ type cacheOp struct {
 	fillFn      func(r *blockio.Request) // pre-bound op.fill (sub-IO completion)
 }
 
+func newCacheOp() *cacheOp { op := &cacheOp{}; op.fireFn, op.fillFn = op.fire, op.fill; return op }
+
 func (c *Cache) getOp(req *blockio.Request) *cacheOp {
-	var op *cacheOp
-	if n := len(c.opFree); n > 0 {
-		op = c.opFree[n-1]
-		c.opFree = c.opFree[:n-1]
-	} else {
-		op = &cacheOp{c: c}
-		op.fireFn = op.fire
-		op.fillFn = op.fill
-	}
-	op.req = req
+	op := c.ops.Get(newCacheOp)
+	op.c, op.req = c, req
 	return op
 }
 
 func (c *Cache) freeOp(op *cacheOp) {
 	op.req = nil
-	c.opFree = append(c.opFree, op)
+	c.ops.Put(op)
 }
 
 // fire completes a hit/write after the hit latency elapsed.

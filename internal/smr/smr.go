@@ -93,22 +93,24 @@ type Drive struct {
 	chunkFn     func(*blockio.Request) // pre-bound chunk completion
 	cleanFn     func()                 // pre-bound d.cleanNext
 
-	reqs     blockio.Pool
-	slowFree []*slowOp
+	reqs  blockio.Pool
+	slows sim.Freelist[slowOp]
 }
 
 // slowOp is the pooled completion context for the cache-full slow path: it
 // acks the original write when the drive-owned spindle pass finishes.
 type slowOp struct {
 	d   *Drive
-	req *blockio.Request // the original write being acked
-	fn  func(*blockio.Request)
+	req *blockio.Request       // the original write being acked
+	fn  func(*blockio.Request) // pre-bound op.done
 }
+
+func newSlowOp() *slowOp { op := &slowOp{}; op.fn = op.done; return op }
 
 func (op *slowOp) done(r *blockio.Request) {
 	d, req := op.d, op.req
 	op.req = nil
-	d.slowFree = append(d.slowFree, op)
+	d.slows.Put(op)
 	r.Release()
 	req.CompleteTime = d.eng.Now()
 	if req.OnComplete != nil {
@@ -195,15 +197,8 @@ func (d *Drive) Submit(req *blockio.Request) {
 			slow.Op, slow.Offset, slow.Size = blockio.Read, req.Offset, req.Size
 			slow.Proc, slow.Class, slow.Priority = req.Proc, req.Class, req.Priority
 			slow.SubmitTime = req.SubmitTime
-			var op *slowOp
-			if n := len(d.slowFree); n > 0 {
-				op = d.slowFree[n-1]
-				d.slowFree = d.slowFree[:n-1]
-			} else {
-				op = &slowOp{d: d}
-				op.fn = op.done
-			}
-			op.req = req
+			op := d.slows.Get(newSlowOp)
+			op.d, op.req = d, req
 			slow.OnComplete = op.fn
 			d.disk.Submit(slow)
 			d.maybeClean()

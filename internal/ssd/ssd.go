@@ -142,11 +142,11 @@ type SSD struct {
 
 	erasesSinceWL []int
 
-	// Freelists for the per-IO machinery: page ops, request groups, and
+	// Pools for the per-IO machinery: page ops, request groups, and
 	// chip-busy episodes. The steady-state per-IO path allocates nothing.
-	opFree   []*pageOp
-	grpFree  []*ioGroup
-	busyFree []*busyOp
+	ops    sim.Freelist[pageOp]
+	groups sim.Freelist[ioGroup]
+	busies sim.Freelist[busyOp]
 
 	// degrade scales every chip and channel operation; 1.0 = healthy. The
 	// FTL's GC bookkeeping and the host-visible profile (ProgramPattern,
@@ -292,7 +292,7 @@ func (s *SSD) Config() Config { return s.cfg }
 // reset returns the device to its factory state on a (possibly reused)
 // engine, exactly as New left it: FTL mappings cleared, server queues
 // emptied, counters zeroed, degradation and fault injection off, hooks and
-// recorder detached. The chips' backing arrays and the per-IO freelists
+// recorder detached. The chips' backing arrays and the per-IO pools
 // survive, which is the point — a reset SSD costs a few array clears
 // instead of the multi-hundred-MB rebuild New does at experiment scale.
 // Tasks still queued on a die or channel are orphaned, so only reset a
@@ -449,7 +449,8 @@ func (s *SSD) Submit(req *blockio.Request) {
 		s.submitHook(req)
 	}
 	first, count := s.PageSpan(req.Offset, req.Size)
-	grp := s.getGroup(req, int(count))
+	grp := s.groups.Get(nil)
+	grp.s, grp.req, grp.remaining = s, req, int(count)
 	for p := first; p < first+count; p++ {
 		if req.Op == blockio.Read {
 			s.readPage(grp, p)
@@ -475,7 +476,7 @@ func (g *ioGroup) pageDone() {
 	}
 	s, req := g.s, g.req
 	g.req = nil
-	s.grpFree = append(s.grpFree, g)
+	s.groups.Put(g)
 	if s.errRate > 0 && s.errRNG != nil && s.errRNG.Bool(s.errRate) {
 		req.Err = blockio.ErrIO
 	}
@@ -485,19 +486,6 @@ func (g *ioGroup) pageDone() {
 	if req.OnComplete != nil {
 		req.OnComplete(req)
 	}
-}
-
-func (s *SSD) getGroup(req *blockio.Request, pages int) *ioGroup {
-	var g *ioGroup
-	if n := len(s.grpFree); n > 0 {
-		g = s.grpFree[n-1]
-		s.grpFree = s.grpFree[:n-1]
-	} else {
-		g = &ioGroup{s: s}
-	}
-	g.req = req
-	g.remaining = pages
-	return g
 }
 
 // pageOp stages for the read and write pipelines.
@@ -530,17 +518,12 @@ type pageOp struct {
 	stepFn func() // pre-bound op.step, reused across recycles
 }
 
+func newPageOp() *pageOp { op := &pageOp{}; op.stepFn = op.step; return op }
+
 func (s *SSD) getOp(grp *ioGroup, lp int64, stage uint8) *pageOp {
-	var op *pageOp
-	if n := len(s.opFree); n > 0 {
-		op = s.opFree[n-1]
-		s.opFree = s.opFree[:n-1]
-	} else {
-		op = &pageOp{s: s}
-		op.stepFn = op.step
-	}
+	op := s.ops.Get(newPageOp)
 	chipID := int(lp % int64(s.cfg.TotalChips()))
-	op.grp, op.req, op.lp = grp, grp.req, lp
+	op.s, op.grp, op.req, op.lp = s, grp, grp.req, lp
 	op.c = s.chips[chipID]
 	op.ch = s.channels[chipID%s.cfg.Channels]
 	op.stage = stage
@@ -550,7 +533,7 @@ func (s *SSD) getOp(grp *ioGroup, lp int64, stage uint8) *pageOp {
 
 func (s *SSD) freeOp(op *pageOp) {
 	op.grp, op.req, op.c, op.ch = nil, nil, nil, nil
-	s.opFree = append(s.opFree, op)
+	s.ops.Put(op)
 }
 
 // serve implements serverTask: the op reached the front of a die or channel
@@ -633,6 +616,8 @@ type busyOp struct {
 	stepFn func()
 }
 
+func newBusyOp() *busyOp { b := &busyOp{}; b.stepFn = b.step; return b }
+
 func (b *busyOp) serve(sv *server) {
 	b.sv = sv
 	b.s.eng.After(b.d, b.stepFn)
@@ -641,20 +626,13 @@ func (b *busyOp) serve(sv *server) {
 func (b *busyOp) step() {
 	sv := b.sv
 	b.sv = nil
-	b.s.busyFree = append(b.s.busyFree, b)
+	b.s.busies.Put(b)
 	sv.finish()
 }
 
 func (s *SSD) occupyChip(c *chip, busy time.Duration) {
-	var b *busyOp
-	if n := len(s.busyFree); n > 0 {
-		b = s.busyFree[n-1]
-		s.busyFree = s.busyFree[:n-1]
-	} else {
-		b = &busyOp{s: s}
-		b.stepFn = b.step
-	}
-	b.d = s.scaled(busy)
+	b := s.busies.Get(newBusyOp)
+	b.s, b.d = s, s.scaled(busy)
 	c.srv.run(b)
 }
 
