@@ -71,8 +71,11 @@ type serveLeg struct {
 // 1 MB read noise on two nodes and node 1 down from 80 to 180 ms: 200 calls
 // 1.2 ms apart on seeded nodes and keys, then a 10 s drain. Calls still
 // unfinished after the drain are the ones ReclaimStranded must harvest, so
-// the rendering tells them apart from calls that finished in the run.
-func runServeLeg(leg serveLeg) string {
+// the rendering tells them apart from calls that finished in the run. Each
+// node's serve contexts out of the pool must be exactly the ones the
+// harvest reclaims, and after it every context must be back, or t fails;
+// the rendering leaves the pool counts out.
+func runServeLeg(t *testing.T, leg serveLeg) string {
 	eng := sim.NewEngine()
 	net := netsim.New(eng, netsim.DefaultConfig(), sim.NewRNG(81, "serve-net"))
 	tmpl := diskNodeTemplate(leg.mitt, 2000)
@@ -129,8 +132,13 @@ func runServeLeg(leg serveLeg) string {
 	harvest = true
 	stranded := make([]int, len(c.Nodes))
 	for i, n := range c.Nodes {
+		out := n.pools.serves.InUse()
 		stranded[i] = n.ReclaimStranded()
+		if out != stranded[i] {
+			t.Errorf("%s: node %d has %d serves out of the pool but strands %d", leg.name, i, out, stranded[i])
+		}
 	}
+	checkPoolsDrained(t, leg.name, c)
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "== %s\n", leg.name)
@@ -161,7 +169,7 @@ func TestServeGolden(t *testing.T) {
 		{name: "mitt", mitt: true},
 		{name: "mitt cpu", mitt: true, cpu: true},
 	} {
-		b.WriteString(runServeLeg(leg))
+		b.WriteString(runServeLeg(t, leg))
 	}
 	got := b.String()
 	path := filepath.Join("testdata", "serve.golden")

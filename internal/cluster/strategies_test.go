@@ -127,7 +127,7 @@ func putCounterLine(pc *PutCounters) string {
 // seeded keys, three nodes under steady noise (so some replica sets are busy
 // throughout), and a key-version layout that gives the consistent strategy
 // both fresh and stale alternatives.
-func runCharLeg(leg charLeg) string {
+func runCharLeg(t *testing.T, leg charLeg) string {
 	eng := sim.NewEngine()
 	net := netsim.New(eng, netsim.DefaultConfig(), sim.NewRNG(71, "char-net"))
 	c := NewCluster(eng, net, 5, 3, diskNodeTemplate(true, 2000), sim.NewRNG(72, "char-nodes"))
@@ -187,6 +187,12 @@ func runCharLeg(leg charLeg) string {
 		fmt.Fprintf(&b, "node %d: served=%d rejected=%d refused=%d\n", i, n.Served(), n.Rejected(), n.Refused())
 	}
 	fmt.Fprintf(&b, "net: sent=%d\n", net.Sent())
+	for i, n := range c.Nodes {
+		if k := n.ReclaimStranded(); k != 0 {
+			t.Errorf("%s: node %d strands %d serves after the drain", leg.name, i, k)
+		}
+	}
+	checkPoolsDrained(t, leg.name, c)
 	return b.String()
 }
 
@@ -198,7 +204,7 @@ func runCharLeg(leg charLeg) string {
 func TestStrategiesGolden(t *testing.T) {
 	var b strings.Builder
 	for _, leg := range charLegs() {
-		b.WriteString(runCharLeg(leg))
+		b.WriteString(runCharLeg(t, leg))
 	}
 	got := b.String()
 	path := filepath.Join("testdata", "strategies.golden")

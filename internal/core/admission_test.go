@@ -118,6 +118,9 @@ type admRig struct {
 	warm  func(eng *sim.Engine)
 	check func(off int64, size int, deadline time.Duration) error // addrcheck, when the target has one
 	tail  func() string
+	// inUse counts the layer's pooled contexts not yet back in their
+	// pools; every one is back once the leg has drained.
+	inUse func() int
 }
 
 type admTarget struct {
@@ -132,6 +135,14 @@ var admProfile = disk.ProfileTwin(disk.DefaultConfig(), 42,
 func admDisk(eng *sim.Engine) *disk.Disk {
 	return disk.New(eng, disk.DefaultConfig(), sim.NewRNG(11, "admission-disk"))
 }
+
+// gateInUse counts a gate's scoring ops and EBUSY replies out of their
+// pools.
+func gateInUse(g *gate) int { return g.ops.InUse() + g.replies.pool.InUse() }
+
+// mirrorGateInUse adds the SSTF mirror's entries to gateInUse: the disk
+// layers MittNoop, MittCFQ and MittDeadline.
+func mirrorGateInUse(g *gate, m *sstfMirror) int { return gateInUse(g) + m.entries.InUse() }
 
 func admCounts(a, r uint64) string { return fmt.Sprintf("counts accepted=%d rejected=%d", a, r) }
 
@@ -155,7 +166,8 @@ func noopTarget(name string, naive bool) admTarget {
 			return admRig{t: m, span: disk.DefaultConfig().CapacityBytes, unit: 4096,
 				tail: func() string {
 					return admCounts(m.Counts()) + "\n" + admAccuracy(m.Accuracy())
-				}}
+				},
+				inUse: func() int { return mirrorGateInUse(&m.gate, m.mirror) }}
 		}}
 }
 
@@ -172,7 +184,8 @@ func admissionTargets() []admTarget {
 					tail: func() string {
 						a, r, c := m.Counts()
 						return fmt.Sprintf("%s cancelled=%d\n%s", admCounts(a, r), c, admAccuracy(m.Accuracy()))
-					}}
+					},
+					inUse: func() int { return mirrorGateInUse(&m.gate, m.mirror) }}
 			}},
 		{name: "mittssd", modes: allAdmModes,
 			build: func(eng *sim.Engine, mode admMode, rec *metrics.Recorder) admRig {
@@ -200,7 +213,8 @@ func admissionTargets() []admTarget {
 						_, _, erases := dev.Stats()
 						return fmt.Sprintf("%s gc-erases=%d\n%s", admCounts(m.Counts()),
 							erases-erasesBefore, admAccuracy(m.Accuracy()))
-					}}
+					},
+					inUse: func() int { return gateInUse(&m.gate) + m.decs.InUse() }}
 			}},
 		{name: "mittdeadline", modes: []admMode{modeEnforce, modeShadow, modeInject},
 			build: func(eng *sim.Engine, mode admMode, rec *metrics.Recorder) admRig {
@@ -212,7 +226,8 @@ func admissionTargets() []admTarget {
 				return admRig{t: m, span: disk.DefaultConfig().CapacityBytes, unit: 4096,
 					tail: func() string {
 						return admCounts(m.Counts()) + "\n" + admAccuracy(m.Accuracy())
-					}}
+					},
+					inUse: func() int { return mirrorGateInUse(&m.gate, m.mirror) }}
 			}},
 		{name: "mittcache", modes: allAdmModes,
 			build: func(eng *sim.Engine, mode admMode, rec *metrics.Recorder) admRig {
@@ -238,6 +253,10 @@ func admissionTargets() []admTarget {
 						a, r := lower.Counts()
 						return fmt.Sprintf("%s\nlower %s\n%s", admCounts(m.Counts()), admCounts(a, r),
 							admAccuracy(m.Accuracy()))
+					},
+					inUse: func() int {
+						return gateInUse(&m.gate) + m.hits.pool.InUse() + m.misses.InUse() +
+							mirrorGateInUse(&lower.gate, lower.mirror)
 					}}
 			}},
 		{name: "mittsmr", modes: allAdmModes,
@@ -265,7 +284,8 @@ func admissionTargets() []admTarget {
 					tail: func() string {
 						return fmt.Sprintf("%s by-clean=%d\n%s", admCounts(m.Counts()),
 							m.RejectedByClean(), admAccuracy(m.noop.Accuracy()))
-					}}
+					},
+					inUse: func() int { return mirrorGateInUse(&m.noop.gate, m.noop.mirror) }}
 			}},
 		{name: "throughput", modes: allAdmModes,
 			build: func(eng *sim.Engine, mode admMode, rec *metrics.Recorder) admRig {
@@ -278,13 +298,15 @@ func admissionTargets() []admTarget {
 						a, r := inner.Counts()
 						return fmt.Sprintf("%s\ninner %s\n%s", admCounts(m.Counts()), admCounts(a, r),
 							admAccuracy(inner.Accuracy()))
-					}}
+					},
+					inUse: func() int { return m.replies.pool.InUse() + mirrorGateInUse(&inner.gate, inner.mirror) }}
 			}},
 		{name: "vanilla", modes: []admMode{modeEnforce},
 			build: func(eng *sim.Engine, mode admMode, rec *metrics.Recorder) admRig {
-				return admRig{t: &Vanilla{Dev: iosched.NewNoop(eng, admDisk(eng))},
-					span: disk.DefaultConfig().CapacityBytes, unit: 4096,
-					tail: func() string { return "" }}
+				v := &Vanilla{Dev: iosched.NewNoop(eng, admDisk(eng))}
+				return admRig{t: v, span: disk.DefaultConfig().CapacityBytes, unit: 4096,
+					tail:  func() string { return "" },
+					inUse: v.ops.pool.InUse}
 			}},
 	}
 }
@@ -301,8 +323,10 @@ type admResult struct {
 
 // runAdmission drives the script through one target in one mode and renders
 // every IO's verdict, predictions, completion and error, then the layer's
-// counters, accuracy and admission metrics.
-func runAdmission(tg admTarget, mode admMode, script []admIO) string {
+// counters, accuracy and admission metrics. Once the leg has drained, every
+// pooled context the layer took must be back, or t fails; the rendering
+// leaves the counts out.
+func runAdmission(t *testing.T, tg admTarget, mode admMode, script []admIO) string {
 	eng := sim.NewEngine()
 	set := metrics.New(eng, 1, 0)
 	rig := tg.build(eng, mode, set.Node(0))
@@ -334,6 +358,9 @@ func runAdmission(tg admTarget, mode admMode, script []admIO) string {
 		})
 	}
 	eng.Run()
+	if out := rig.inUse(); out != 0 {
+		t.Errorf("%s/%s: %d pooled contexts still out after the drain", tg.name, admModeNames[mode], out)
+	}
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "== %s/%s\n", tg.name, admModeNames[mode])
@@ -382,7 +409,7 @@ func TestAdmissionGolden(t *testing.T) {
 	var b strings.Builder
 	for _, tg := range admissionTargets() {
 		for _, mode := range tg.modes {
-			b.WriteString(runAdmission(tg, mode, script))
+			b.WriteString(runAdmission(t, tg, mode, script))
 		}
 	}
 	got := b.String()
