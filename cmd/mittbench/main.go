@@ -38,7 +38,6 @@ import (
 
 	"mittos"
 	"mittos/internal/experiments"
-	"mittos/internal/faults"
 	"mittos/internal/metrics"
 )
 
@@ -86,10 +85,8 @@ func main() {
 		return
 	}
 
-	if *faultsFlag != "" {
-		if _, err := faults.ParseSchedule(*faultsFlag); err != nil {
-			fail(err, 2)
-		}
+	if err := experiments.CheckFaults(*faultsFlag, !*full); err != nil {
+		fail(fmt.Errorf("-faults: %w", err), 2)
 	}
 
 	rates, err := parseRates(*ratesFlag)

@@ -51,6 +51,44 @@ func TestRunRejectsBadRates(t *testing.T) {
 	}
 }
 
+func TestRunRejectsBadFaults(t *testing.T) {
+	// Every id validates the fault schedule too: one that does not parse,
+	// or that names a node outside the fleet (0–8 quick, 0–19 full), fails
+	// before any leg runs instead of panicking inside failslow.
+	for _, tc := range []struct {
+		id     string
+		quick  bool
+		faults string
+	}{
+		{"failslow", true, "crash node=50 at=1s for=1s"},
+		{"failslow", true, "crash node=9 at=1s for=1s"},
+		{"failslow", false, "crash node=20 at=1s for=1s"},
+		{"failslow", true, "bogus"},
+		{"failslow", true, "failslow node=1 at=1s for=1s x=8; crash node=9 at=2s for=1s"},
+		{"fig4", true, "crash node=50 at=1s for=1s"},
+		{"loadsweep", true, "crash node=9 at=1s for=1s"},
+		{"table1", true, "crash node=one at=1s for=1s"},
+	} {
+		res, err := Run(tc.id, RunConfig{Quick: tc.quick, Seed: 1, Faults: tc.faults})
+		if err == nil || res != nil {
+			t.Errorf("Run(%s, quick=%v, faults=%q) = %v, %v; want an error", tc.id, tc.quick, tc.faults, res, err)
+		}
+	}
+	for _, tc := range []struct {
+		quick  bool
+		faults string
+	}{
+		{true, ""},
+		{true, "crash node=8 at=1s for=1s"},
+		{true, "failslow node=all at=1s for=1s x=4"},
+		{false, "crash node=19 at=1s for=1s"},
+	} {
+		if err := CheckFaults(tc.faults, tc.quick); err != nil {
+			t.Errorf("CheckFaults(%q, quick=%v) = %v, want nil", tc.faults, tc.quick, err)
+		}
+	}
+}
+
 func TestSweepPresizeCapped(t *testing.T) {
 	for _, tc := range []struct {
 		d, iv time.Duration

@@ -22,7 +22,8 @@ type RunConfig struct {
 	// TraceIOs bounds per-IO span capture (0 = off, <0 = unlimited).
 	TraceIOs int
 	// Faults overrides the failslow experiment's fault schedule (a
-	// faults.ParseSchedule config string; empty = built-in scenario).
+	// faults.ParseSchedule config string; empty = built-in scenario). It
+	// must pass CheckFaults.
 	Faults string
 	// Rates overrides the loadsweep experiment's offered-load multipliers
 	// (empty = the built-in 0.2→1.5 sweep). Each must pass CheckSweepRate.
@@ -119,6 +120,9 @@ func Run(id string, cfg RunConfig) (*Result, error) {
 		if err := CheckSweepRate(m); err != nil {
 			return nil, fmt.Errorf("experiments: rates: %w", err)
 		}
+	}
+	if err := CheckFaults(cfg.Faults, cfg.Quick); err != nil {
+		return nil, fmt.Errorf("experiments: faults: %w", err)
 	}
 	return fn(cfg), nil
 }
