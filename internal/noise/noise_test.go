@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"mittos/internal/blockio"
-	"mittos/internal/oscache"
 	"mittos/internal/sim"
 )
 
@@ -143,25 +142,6 @@ func TestRotatingMovesAcrossDevices(t *testing.T) {
 		t.Fatalf("device 0 kept receiving noise after its epoch: %d → %d", before0, devs[0].count)
 	}
 	r.Stop()
-	eng.Run()
-}
-
-func TestCacheEvictorEvicts(t *testing.T) {
-	eng := sim.NewEngine()
-	backing := &countingDevice{eng: eng, delay: 5 * time.Millisecond}
-	cache := oscache.New(eng, oscache.DefaultConfig(), backing)
-	cache.Warm(0, 4096*1000)
-	ev := NewCacheEvictor(eng, cache, 0.2, 100*time.Millisecond, sim.NewRNG(5, "ev"))
-	ev.Start()
-	eng.RunUntil(sim.Time(350 * time.Millisecond))
-	ev.Stop()
-	if cache.ResidentPages() >= 1000 {
-		t.Fatal("evictor removed nothing")
-	}
-	// ~0.8³ of the set should survive three rounds, very roughly.
-	if cache.ResidentPages() < 300 {
-		t.Fatalf("evictor too aggressive: %d pages left", cache.ResidentPages())
-	}
 	eng.Run()
 }
 

@@ -62,14 +62,6 @@ func (g *RNG) Duration(d Duration) Duration {
 	return Duration(g.r.Int63n(int64(d)))
 }
 
-// DurationRange returns a uniform duration in [lo,hi).
-func (g *RNG) DurationRange(lo, hi Duration) Duration {
-	if hi <= lo {
-		return lo
-	}
-	return lo + g.Duration(hi-lo)
-}
-
 // Exp returns an exponentially distributed duration with the given mean,
 // used for Poisson arrival processes (noise episodes, open-loop clients).
 func (g *RNG) Exp(mean Duration) Duration {

@@ -57,20 +57,6 @@ func TestDurationBounds(t *testing.T) {
 	}
 }
 
-func TestDurationRange(t *testing.T) {
-	g := NewRNG(7, "t")
-	lo, hi := 2*time.Millisecond, 5*time.Millisecond
-	for i := 0; i < 1000; i++ {
-		d := g.DurationRange(lo, hi)
-		if d < lo || d >= hi {
-			t.Fatalf("DurationRange out of range: %v", d)
-		}
-	}
-	if g.DurationRange(hi, lo) != hi {
-		t.Fatal("inverted range should return lo")
-	}
-}
-
 func TestExpMean(t *testing.T) {
 	g := NewRNG(11, "exp")
 	mean := 10 * time.Millisecond
