@@ -285,6 +285,9 @@ func TestStackReadErrorPropagates(t *testing.T) {
 		{"ssd", StackConfig{Device: DeviceSSD, SSDConfig: ssdCfg}},
 		{"cfq+cache", StackConfig{Device: DeviceDisk, Scheduler: SchedulerCFQ, CachePages: 1000}},
 		{"ssd+cache", StackConfig{Device: DeviceSSD, SSDConfig: ssdCfg, CachePages: 1000}},
+		// Kinds outside the named constants build a disk stack under CFQ,
+		// never a panic.
+		{"unknown-kinds", StackConfig{Device: DeviceKind(7), Scheduler: SchedulerKind(9)}},
 	} {
 		for _, mitt := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/mitt=%v", shape.name, mitt), func(t *testing.T) {
