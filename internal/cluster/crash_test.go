@@ -191,7 +191,7 @@ func TestMittOSWaitHintSkipsCrashedNode(t *testing.T) {
 	replicas := c.ReplicasFor(0)
 	rng := sim.NewRNG(11, "fp")
 	for _, r := range replicas {
-		c.Nodes[r].MittCFQ.SetErrorInjection(0, 1.0, rng) // reject every SLO'd IO
+		c.Nodes[r].Mitt.SetErrorInjection(0, 1.0, rng) // reject every SLO'd IO
 	}
 	crashed := replicas[1]
 	c.Nodes[crashed].Crash()

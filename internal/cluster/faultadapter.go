@@ -84,14 +84,8 @@ func (a *FaultAdapter) NetRestore() { a.c.Net.ClearDegradation() }
 // ((0,0) restores). Layers built without Mitt are unaffected.
 func (a *FaultAdapter) Miscalibrate(node int, bias time.Duration, scale float64) {
 	a.each(node, func(_ int, n *Node) {
-		if n.MittNoop != nil {
-			n.MittNoop.SetMiscalibration(bias, scale)
-		}
-		if n.MittCFQ != nil {
-			n.MittCFQ.SetMiscalibration(bias, scale)
-		}
-		if n.MittSSD != nil {
-			n.MittSSD.SetMiscalibration(bias, scale)
+		if n.Mitt != nil {
+			n.Mitt.SetMiscalibration(bias, scale)
 		}
 		if n.MittCache != nil {
 			n.MittCache.SetMiscalibration(bias, scale)

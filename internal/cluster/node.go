@@ -20,7 +20,6 @@ import (
 	"mittos/internal/blockio"
 	"mittos/internal/core"
 	"mittos/internal/disk"
-	"mittos/internal/iosched"
 	"mittos/internal/kv"
 	"mittos/internal/metrics"
 	"mittos/internal/netsim"
@@ -224,22 +223,9 @@ type Node struct {
 	Index int
 	eng   *sim.Engine
 
-	Disk  *disk.Disk
-	SSD   *ssd.SSD
-	Sched blockio.Device // noop or CFQ over the disk; nil for SSD nodes
-	Cache *oscache.Cache
-
-	// Target is the SLO-aware entry point requests go through.
-	Target core.Target
-	// BlockLayer is the SLO-aware block-layer entry (below the cache);
-	// noise tenants and cache background IO enter here.
-	BlockLayer *TargetDevice
-	// MittNoop/MittCFQ/MittSSD/MittCache expose layer-specific state when
-	// Mitt is enabled (at most one device layer is non-nil).
-	MittNoop  *core.MittNoop
-	MittCFQ   *core.MittCFQ
-	MittSSD   *core.MittSSD
-	MittCache *core.MittCache
+	// Stack is the node's storage stack; Target is the SLO-aware entry
+	// point requests go through.
+	Stack
 
 	Store *kv.Store
 	IDs   blockio.IDGen
@@ -275,85 +261,24 @@ func NewNode(eng *sim.Engine, cfg NodeConfig, rng *sim.RNG) *Node {
 	rec := cfg.Metrics.Node(cfg.Index) // nil when metrics are off
 	n.rec = rec
 
-	var ioTarget core.Target
-	var capacity int64
-	switch cfg.Device {
-	case DeviceDisk:
-		n.Disk = disk.New(eng, cfg.DiskConfig, rng.Fork(fmt.Sprintf("disk-%d", cfg.Index)))
-		n.Disk.SetRecorder(rec)
+	sched := SchedulerNoop
+	if cfg.UseCFQ {
+		sched = SchedulerCFQ
+	}
+	// Only a disk draws a stream from rng: forking advances it.
+	var diskRNG *sim.RNG
+	capacity := cfg.SSDConfig.LogicalBytes()
+	if cfg.Device != DeviceSSD {
+		diskRNG = rng.Fork(fmt.Sprintf("disk-%d", cfg.Index))
 		capacity = cfg.DiskConfig.CapacityBytes
-		if cfg.UseCFQ {
-			cfq := iosched.NewCFQ(eng, iosched.DefaultCFQConfig(), n.Disk)
-			cfq.SetRecorder(rec)
-			n.Sched = cfq
-			if cfg.Mitt {
-				n.MittCFQ = core.NewMittCFQ(eng, cfq, cfg.DiskProfile, cfg.MittOptions)
-				n.MittCFQ.SetRecorder(rec)
-				ioTarget = n.MittCFQ
-			} else {
-				ioTarget = &core.Vanilla{Dev: cfq}
-			}
-		} else {
-			nop := iosched.NewNoop(eng, n.Disk)
-			nop.SetRecorder(rec)
-			n.Sched = nop
-			if cfg.Mitt {
-				n.MittNoop = core.NewMittNoop(eng, nop, cfg.DiskProfile, cfg.MittOptions)
-				n.MittNoop.SetRecorder(rec)
-				ioTarget = n.MittNoop
-			} else {
-				ioTarget = &core.Vanilla{Dev: nop}
-			}
-		}
-	case DeviceSSD:
-		if cfg.SSDPool != nil {
-			n.SSD = cfg.SSDPool.Get(eng, cfg.SSDConfig)
-		} else {
-			n.SSD = ssd.New(eng, cfg.SSDConfig)
-		}
-		n.SSD.SetRecorder(rec)
-		capacity = cfg.SSDConfig.LogicalBytes()
-		if cfg.Mitt {
-			n.MittSSD = core.NewMittSSD(eng, n.SSD, cfg.MittOptions)
-			n.MittSSD.SetRecorder(rec)
-			ioTarget = n.MittSSD
-		} else {
-			ioTarget = &core.Vanilla{Dev: n.SSD}
-		}
-	default:
-		panic("cluster: unknown device kind")
 	}
-
-	// Every IO enters the stack through exactly one span boundary: the
-	// block layer (noise and cache background traffic) or the KV entry
-	// below (client IO).
-	n.BlockLayer = &TargetDevice{T: traced(rec, ioTarget)}
-	target := ioTarget
-	if cfg.CachePages > 0 {
-		ccfg := oscache.DefaultConfig()
-		ccfg.CapacityPages = cfg.CachePages
-		ccfg.Slab = &n.pools.Pages
-		ccfg.Reqs = &n.pools.Reqs
-		// The cache's background traffic (read-through, write-back,
-		// prefetch) enters through the block layer so MittOS accounts it.
-		n.Cache = oscache.New(eng, ccfg, n.BlockLayer)
-		n.Cache.SetRecorder(rec)
-		if cfg.Mitt {
-			n.MittCache = core.NewMittCache(eng, n.Cache, ioTarget, minIOLatency(cfg), cfg.MittOptions)
-			n.MittCache.SetRecorder(rec)
-			target = n.MittCache
-		} else {
-			target = &core.Vanilla{Dev: n.Cache}
-		}
-	}
-	target = traced(rec, target)
-	n.Target = target
+	n.Stack = NewStack(eng, cfg, sched, diskRNG, rec, n.pools)
 
 	region := capacity * 9 / 10
 	kcfg := kv.DefaultConfig(0, region)
 	kcfg.Proc = 1 // the NoSQL server process
 	kcfg.Reqs = &n.pools.Reqs
-	n.Store = kv.New(eng, kcfg, target, &n.IDs)
+	n.Store = kv.New(eng, kcfg, n.Target, &n.IDs)
 	n.Store.SetRecorder(rec)
 	if cfg.Mmap && n.MittCache != nil {
 		n.Store.UseMmap(n.MittCache)
@@ -362,15 +287,6 @@ func NewNode(eng *sim.Engine, cfg NodeConfig, rng *sim.RNG) *Node {
 		n.Store.Preload(cfg.Keys)
 	}
 	return n
-}
-
-// minIOLatency returns the smallest possible device IO latency under the
-// cache (§4.4's in-memory-expectation check).
-func minIOLatency(cfg NodeConfig) time.Duration {
-	if cfg.Device == DeviceSSD {
-		return cfg.SSDConfig.ChipReadTime + cfg.SSDConfig.ChannelXferTime
-	}
-	return cfg.DiskConfig.SeqCost
 }
 
 // NoiseSink returns the device noise injectors should contend on: the

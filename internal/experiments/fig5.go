@@ -147,7 +147,7 @@ func Fig10(opt Options) *Result {
 			f := a.newFleet(opt, fleetDisk, true, pt.name)
 			f.addEC2DiskNoise(opt)
 			for _, n := range f.c.Nodes {
-				n.MittCFQ.SetErrorInjection(pt.fn, pt.fp, sim.NewRNG(opt.Seed, "inj-"+pt.name))
+				n.Mitt.SetErrorInjection(pt.fn, pt.fp, sim.NewRNG(opt.Seed, "inj-"+pt.name))
 			}
 			io, _ := f.runClients(opt, &cluster.MittOSStrategy{C: f.c, Deadline: p95}, 1)
 			outs[i] = io

@@ -5,9 +5,9 @@ import (
 	"time"
 
 	"mittos/internal/blockio"
+	"mittos/internal/cluster"
 	"mittos/internal/core"
 	"mittos/internal/disk"
-	"mittos/internal/iosched"
 	"mittos/internal/sim"
 	"mittos/internal/ssd"
 	"mittos/internal/stats"
@@ -59,24 +59,10 @@ func Fig9(opt Fig9Options) (*Result, []Fig9Row) {
 		full := trace.Generate(prof, opt.TraceLen, sim.NewRNG(opt.Seed, "fig9-"+prof.Name))
 		busiest := full.Busiest(opt.Window)
 
-		for _, layer := range []string{"MittCFQ", "MittDL", "MittSSD", "Naive"} {
-			var acc core.Accuracy
-			var deadline time.Duration
-			switch layer {
-			case "MittCFQ":
-				deadline, acc = fig9Disk(opt, busiest, diskCFQ)
-			case "MittDL":
-				// Scheduler generality (§3.4): the same admission idea on
-				// the deadline scheduler.
-				deadline, acc = fig9Disk(opt, busiest, diskDeadline)
-			case "Naive":
-				// The "without our precision improvements" ablation.
-				deadline, acc = fig9Disk(opt, busiest, diskNaive)
-			case "MittSSD":
-				deadline, acc = fig9SSD(opt, busiest)
-			}
-			rows = append(rows, Fig9Row{Trace: prof.Name, Layer: layer, Deadline: deadline, Acc: acc})
-			tb.AddRow(prof.Name, layer, stats.FormatDuration(deadline),
+		for _, l := range fig9Layers {
+			deadline, acc := fig9Replay(opt, busiest, l)
+			rows = append(rows, Fig9Row{Trace: prof.Name, Layer: l.name, Deadline: deadline, Acc: acc})
+			tb.AddRow(prof.Name, l.name, stats.FormatDuration(deadline),
 				fmt.Sprintf("%.2f", 100*acc.FalsePosRate()),
 				fmt.Sprintf("%.2f", 100*acc.FalseNegRate()),
 				fmt.Sprintf("%.2f", 100*acc.InaccuracyRate()),
@@ -154,62 +140,68 @@ func (op *fig9Op) done(err error) {
 	req.Release()
 }
 
-// diskVariant selects the fig9 disk-side discipline.
-type diskVariant int
+// fig9Layer is one row of the §7.6 study: the stack a trace replays on.
+type fig9Layer struct {
+	name   string
+	device cluster.DeviceKind
+	sched  cluster.SchedulerKind
+	naive  bool
+}
 
-const (
-	diskCFQ diskVariant = iota
-	diskNaive
-	diskDeadline
-)
+var fig9Layers = []fig9Layer{
+	{name: "MittCFQ", sched: cluster.SchedulerCFQ},
+	// Scheduler generality (§3.4): the same admission idea on the deadline
+	// scheduler.
+	{name: "MittDL", sched: cluster.SchedulerDeadline},
+	{name: "MittSSD", device: cluster.DeviceSSD},
+	// The "without our precision improvements" ablation: no SSTF model, no
+	// calibration, on the noop path.
+	{name: "Naive", sched: cluster.SchedulerNoop, naive: true},
+}
 
-// fig9Disk replays a trace against one disk machine. Pass 1 (no SLO)
-// measures the p95 wait for the deadline; pass 2 replays in shadow mode.
-func fig9Disk(opt Fig9Options, tr *trace.Trace, variant diskVariant) (time.Duration, core.Accuracy) {
-	tr = derateForDisk(tr, disk.DefaultConfig())
-	waits := fig9DiskPass(opt, tr, 0, variant, nil)
+// fig9Replay replays a trace against one machine: a disk, or flash with the
+// trace re-rated for it. Pass 1 (no SLO) measures the p95 wait for the
+// deadline; pass 2 replays in shadow mode.
+func fig9Replay(opt Fig9Options, tr *trace.Trace, l fig9Layer) (time.Duration, core.Accuracy) {
+	floor := time.Millisecond
+	if l.device == cluster.DeviceSSD {
+		tr, floor = tr.Rerate(opt.SSDRerate), 200*time.Microsecond
+	} else {
+		tr = derateForDisk(tr, disk.DefaultConfig())
+	}
+	waits, _ := fig9Pass(opt, tr, 0, l)
 	deadline := waits.Percentile(95)
 	if deadline <= 0 {
-		deadline = time.Millisecond
+		deadline = floor
 	}
-	var acc core.Accuracy
-	fig9DiskPass(opt, tr, deadline, variant, &acc)
+	_, acc := fig9Pass(opt, tr, deadline, l)
 	return deadline, acc
 }
 
-func fig9DiskPass(opt Fig9Options, tr *trace.Trace, deadline time.Duration,
-	variant diskVariant, accOut *core.Accuracy) *stats.Sample {
+// fig9Pass replays tr once with every read at deadline (0 = no SLO) and
+// returns the measured waits and the layer's shadow-mode accuracy.
+func fig9Pass(opt Fig9Options, tr *trace.Trace, deadline time.Duration, l fig9Layer) (*stats.Sample, core.Accuracy) {
 	eng := sim.NewEngine()
-	dcfg := disk.DefaultConfig()
-	d := disk.New(eng, dcfg, sim.NewRNG(opt.Seed, "fig9-disk"))
-	mopt := core.DefaultOptions()
-	mopt.Shadow = true
-	mopt.Thop = 0 // single machine, no failover hop (§7.6)
-	var target core.Target
-	var accuracy func() core.Accuracy
-	switch variant {
-	case diskNaive:
-		mopt.Naive = true
-		mopt.Calibrate = false
-		nop := iosched.NewNoop(eng, d)
-		m := core.NewMittNoop(eng, nop, sharedDiskProfile, mopt)
-		target, accuracy = m, m.Accuracy
-	case diskDeadline:
-		dl := iosched.NewDeadline(eng, iosched.DefaultDeadlineConfig(), d)
-		m := core.NewMittDeadline(eng, dl, sharedDiskProfile, mopt)
-		target, accuracy = m, m.Accuracy
-	default:
-		cfq := iosched.NewCFQ(eng, iosched.DefaultCFQConfig(), d)
-		m := core.NewMittCFQ(eng, cfq, sharedDiskProfile, mopt)
-		target, accuracy = m, m.Accuracy
+	cfg := cluster.NodeConfig{Device: l.device, DiskConfig: disk.DefaultConfig(),
+		SSDConfig: ssd.DefaultConfig(), Mitt: true, MittOptions: core.DefaultOptions(),
+		DiskProfile: sharedDiskProfile}
+	cfg.MittOptions.Shadow = true
+	cfg.MittOptions.Thop = 0 // single machine, no failover hop (§7.6)
+	if l.naive {
+		cfg.MittOptions.Naive, cfg.MittOptions.Calibrate = true, false
 	}
+	capacity := cfg.SSDConfig.LogicalBytes()
+	var rng *sim.RNG
+	if l.device != cluster.DeviceSSD {
+		capacity, rng = cfg.DiskConfig.CapacityBytes, sim.NewRNG(opt.Seed, "fig9-disk")
+	}
+	pools := &cluster.Pools{}
+	st := cluster.NewStack(eng, cfg, l.sched, rng, nil, pools)
 	waits := stats.NewSample(len(tr.Records))
 	var ids blockio.IDGen
-	clamped := tr.Clamp(dcfg.CapacityBytes)
-	var reqs blockio.Pool
 	var ops sim.Freelist[fig9Op]
-	rep := trace.NewReplayer(eng, clamped, func(rec trace.Record) {
-		req := reqs.Get()
+	rep := trace.NewReplayer(eng, tr.Clamp(capacity), func(rec trace.Record) {
+		req := pools.Reqs.Get()
 		req.ID, req.Op, req.Offset = ids.Next(), rec.Op, rec.Offset
 		req.Size, req.Proc = rec.Size, 1
 		if rec.Op == blockio.Read {
@@ -217,59 +209,9 @@ func fig9DiskPass(opt Fig9Options, tr *trace.Trace, deadline time.Duration,
 		}
 		op := ops.Get(newFig9Op)
 		op.waits, op.pool, op.req = waits, &ops, req
-		target.SubmitSLO(req, op.fn)
+		st.Target.SubmitSLO(req, op.fn)
 	})
 	rep.Start()
 	eng.Run()
-	if accOut != nil {
-		*accOut = accuracy()
-	}
-	return waits
-}
-
-// fig9SSD replays the trace, re-rated for flash, against one OpenChannel
-// SSD with MittSSD in shadow mode.
-func fig9SSD(opt Fig9Options, tr *trace.Trace) (time.Duration, core.Accuracy) {
-	fast := tr.Rerate(opt.SSDRerate)
-	waits := fig9SSDPass(opt, fast, 0, nil)
-	deadline := waits.Percentile(95)
-	if deadline <= 0 {
-		deadline = 200 * time.Microsecond
-	}
-	var acc core.Accuracy
-	fig9SSDPass(opt, fast, deadline, &acc)
-	return deadline, acc
-}
-
-func fig9SSDPass(opt Fig9Options, tr *trace.Trace, deadline time.Duration,
-	accOut *core.Accuracy) *stats.Sample {
-	eng := sim.NewEngine()
-	scfg := ssd.DefaultConfig()
-	dev := ssd.New(eng, scfg)
-	mopt := core.DefaultOptions()
-	mopt.Shadow = true
-	mopt.Thop = 0
-	m := core.NewMittSSD(eng, dev, mopt)
-	waits := stats.NewSample(len(tr.Records))
-	var ids blockio.IDGen
-	clamped := tr.Clamp(scfg.LogicalBytes())
-	var reqs blockio.Pool
-	var ops sim.Freelist[fig9Op]
-	rep := trace.NewReplayer(eng, clamped, func(rec trace.Record) {
-		req := reqs.Get()
-		req.ID, req.Op, req.Offset = ids.Next(), rec.Op, rec.Offset
-		req.Size, req.Proc = rec.Size, 1
-		if rec.Op == blockio.Read {
-			req.Deadline = deadline
-		}
-		op := ops.Get(newFig9Op)
-		op.waits, op.pool, op.req = waits, &ops, req
-		m.SubmitSLO(req, op.fn)
-	})
-	rep.Start()
-	eng.Run()
-	if accOut != nil {
-		*accOut = m.Accuracy()
-	}
-	return waits
+	return waits, st.Mitt.Accuracy()
 }

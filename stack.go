@@ -8,7 +8,6 @@ import (
 	"mittos/internal/cluster"
 	"mittos/internal/core"
 	"mittos/internal/disk"
-	"mittos/internal/iosched"
 	"mittos/internal/oscache"
 	"mittos/internal/sim"
 	"mittos/internal/ssd"
@@ -30,24 +29,24 @@ func DefaultDiskConfig() DiskConfig { return disk.DefaultConfig() }
 func DefaultSSDConfig() SSDConfig { return ssd.DefaultConfig() }
 
 // SchedulerKind selects the IO scheduler for disk stacks.
-type SchedulerKind int
+type SchedulerKind = cluster.SchedulerKind
 
-// Supported schedulers. SSDs bypass block-level scheduling (§4.3), so the
-// setting is ignored for SSD stacks.
+// Supported schedulers; any other kind builds CFQ. SSDs bypass block-level
+// scheduling (§4.3), so the setting is ignored for SSD stacks.
 const (
-	SchedulerCFQ SchedulerKind = iota
-	SchedulerNoop
+	SchedulerCFQ  = cluster.SchedulerCFQ
+	SchedulerNoop = cluster.SchedulerNoop
 	// SchedulerDeadline is the Linux deadline scheduler with the
 	// MittDeadline admission layer — the queueing-discipline-generality
 	// demonstration of §3.4.
-	SchedulerDeadline
+	SchedulerDeadline = cluster.SchedulerDeadline
 )
 
 // StackConfig shapes a single-node SLO-aware storage stack.
 type StackConfig struct {
 	// Device picks the medium (DeviceDisk or DeviceSSD).
 	Device DeviceKind
-	// Scheduler picks noop vs CFQ for disk stacks.
+	// Scheduler picks the disk stack's IO scheduler: CFQ, noop or deadline.
 	Scheduler SchedulerKind
 	// Mitt enables the MittOS admission layer; false builds the vanilla
 	// stack (deadlines ignored).
@@ -69,100 +68,44 @@ type StackConfig struct {
 // page cache, with the matching MittOS layer when enabled. It is the
 // programmatic equivalent of opening a file on a MittOS kernel.
 type Stack struct {
-	eng *Engine
-
 	Disk  *disk.Disk
 	SSD   *ssd.SSD
 	Cache *oscache.Cache
 
-	target core.Target
-
-	mittNoop     *core.MittNoop
-	mittCFQ      *core.MittCFQ
-	mittSSD      *core.MittSSD
-	mittCache    *core.MittCache
-	mittDeadline *core.MittDeadline
-
+	st  cluster.Stack
 	ids blockio.IDGen
 }
 
-// NewStack assembles the stack on the engine.
+// NewStack assembles the stack on the engine: it fills in the zero-value
+// defaults and, for a Mitt disk stack, the offline disk profile, then builds
+// the layers with the same builder as every cluster node.
 func NewStack(eng *Engine, cfg StackConfig) *Stack {
-	s := &Stack{eng: eng}
-	opt := cfg.MittOptions
-	if opt == (Options{}) {
-		opt = DefaultOptions()
+	ncfg := cluster.NodeConfig{Device: cfg.Device, DiskConfig: cfg.DiskConfig,
+		SSDConfig: cfg.SSDConfig, Mitt: cfg.Mitt, MittOptions: cfg.MittOptions,
+		CachePages: cfg.CachePages}
+	if ncfg.MittOptions == (Options{}) {
+		ncfg.MittOptions = DefaultOptions()
 	}
-	rng := sim.NewRNG(cfg.Seed, "stack-device")
-
-	var ioTarget core.Target
-	var minIO time.Duration
-	switch cfg.Device {
-	case DeviceSSD:
-		scfg := cfg.SSDConfig
-		if scfg.Channels == 0 {
-			scfg = ssd.DefaultConfig()
+	if cfg.Device == DeviceSSD {
+		if ncfg.SSDConfig.Channels == 0 {
+			ncfg.SSDConfig = ssd.DefaultConfig()
 		}
-		s.SSD = ssd.New(eng, scfg)
-		minIO = scfg.ChipReadTime + scfg.ChannelXferTime
+	} else {
+		if ncfg.DiskConfig.CapacityBytes == 0 {
+			ncfg.DiskConfig = disk.DefaultConfig()
+		}
 		if cfg.Mitt {
-			s.mittSSD = core.NewMittSSD(eng, s.SSD, opt)
-			ioTarget = s.mittSSD
-		} else {
-			ioTarget = &core.Vanilla{Dev: s.SSD}
-		}
-	default:
-		dcfg := cfg.DiskConfig
-		if dcfg.CapacityBytes == 0 {
-			dcfg = disk.DefaultConfig()
-		}
-		s.Disk = disk.New(eng, dcfg, rng)
-		minIO = dcfg.SeqCost
-		prof := disk.ProfileTwin(dcfg, 42, disk.DefaultProfilerOptions())
-		if cfg.Scheduler == SchedulerNoop {
-			nop := iosched.NewNoop(eng, s.Disk)
-			if cfg.Mitt {
-				s.mittNoop = core.NewMittNoop(eng, nop, prof, opt)
-				ioTarget = s.mittNoop
-			} else {
-				ioTarget = &core.Vanilla{Dev: nop}
-			}
-		} else if cfg.Scheduler == SchedulerDeadline {
-			dl := iosched.NewDeadline(eng, iosched.DefaultDeadlineConfig(), s.Disk)
-			if cfg.Mitt {
-				s.mittDeadline = core.NewMittDeadline(eng, dl, prof, opt)
-				ioTarget = s.mittDeadline
-			} else {
-				ioTarget = &core.Vanilla{Dev: dl}
-			}
-		} else {
-			cfq := iosched.NewCFQ(eng, iosched.DefaultCFQConfig(), s.Disk)
-			if cfg.Mitt {
-				s.mittCFQ = core.NewMittCFQ(eng, cfq, prof, opt)
-				ioTarget = s.mittCFQ
-			} else {
-				ioTarget = &core.Vanilla{Dev: cfq}
-			}
+			ncfg.DiskProfile = disk.ProfileTwin(ncfg.DiskConfig, 42, disk.DefaultProfilerOptions())
 		}
 	}
-	s.target = ioTarget
-	if cfg.CachePages > 0 {
-		ccfg := oscache.DefaultConfig()
-		ccfg.CapacityPages = cfg.CachePages
-		s.Cache = oscache.New(eng, ccfg, &cluster.TargetDevice{T: ioTarget})
-		if cfg.Mitt {
-			s.mittCache = core.NewMittCache(eng, s.Cache, ioTarget, minIO, opt)
-			s.target = s.mittCache
-		} else {
-			s.target = &core.Vanilla{Dev: s.Cache}
-		}
-	}
-	return s
+	st := cluster.NewStack(eng, ncfg, cfg.Scheduler, sim.NewRNG(cfg.Seed, "stack-device"),
+		nil, &cluster.Pools{})
+	return &Stack{Disk: st.Disk, SSD: st.SSD, Cache: st.Cache, st: st}
 }
 
 // Target returns the stack's SLO-aware entry point for raw Request
 // submission.
-func (s *Stack) Target() Target { return s.target }
+func (s *Stack) Target() Target { return s.st.Target }
 
 // Read issues a read of size bytes at off with the given deadline SLO
 // (0 = no SLO). onDone receives nil on completion or ErrBusy on rejection —
@@ -172,7 +115,7 @@ func (s *Stack) Read(off int64, size int, deadline time.Duration, onDone func(er
 		ID: s.ids.Next(), Op: blockio.Read, Offset: off, Size: size,
 		Proc: 1, Deadline: deadline,
 	}
-	s.target.SubmitSLO(req, onDone)
+	s.st.Target.SubmitSLO(req, onDone)
 	return req
 }
 
@@ -181,7 +124,7 @@ func (s *Stack) Write(off int64, size int, onDone func(error)) *Request {
 	req := &blockio.Request{
 		ID: s.ids.Next(), Op: blockio.Write, Offset: off, Size: size, Proc: 1,
 	}
-	s.target.SubmitSLO(req, onDone)
+	s.st.Target.SubmitSLO(req, onDone)
 	return req
 }
 
@@ -191,24 +134,24 @@ func (s *Stack) Write(off int64, size int, onDone func(error)) *Request {
 // out under memory contention. Requires a cache-enabled, Mitt-enabled
 // stack.
 func (s *Stack) AddrCheck(off int64, size int, deadline time.Duration) error {
-	if s.mittCache == nil {
+	if s.st.MittCache == nil {
 		return fmt.Errorf("mittos: AddrCheck requires a Mitt-enabled stack with a page cache")
 	}
-	return s.mittCache.AddrCheck(off, size, deadline)
+	return s.st.MittCache.AddrCheck(off, size, deadline)
 }
 
 // PredictWait exposes the admission layer's current wait estimate for an IO
 // at (off, size) — the signal behind every EBUSY decision.
 func (s *Stack) PredictWait(off int64, size int) time.Duration {
-	switch {
-	case s.mittNoop != nil:
-		return s.mittNoop.PredictWaitFor(off, size)
-	case s.mittCFQ != nil:
-		return s.mittCFQ.PredictWait(1, blockio.ClassBestEffort)
-	case s.mittSSD != nil:
-		return s.mittSSD.PredictWait(off, size)
-	case s.mittDeadline != nil:
-		return s.mittDeadline.PredictWait()
+	switch m := s.st.Mitt.(type) {
+	case *core.MittNoop:
+		return m.PredictWaitFor(off, size)
+	case *core.MittCFQ:
+		return m.PredictWait(1, blockio.ClassBestEffort)
+	case *core.MittSSD:
+		return m.PredictWait(off, size)
+	case *core.MittDeadline:
+		return m.PredictWait()
 	default:
 		return 0
 	}
@@ -217,16 +160,8 @@ func (s *Stack) PredictWait(off int64, size int) time.Duration {
 // Accuracy returns shadow-mode counters from whichever Mitt layer is
 // active (zero value when Mitt is disabled).
 func (s *Stack) Accuracy() Accuracy {
-	switch {
-	case s.mittNoop != nil:
-		return s.mittNoop.Accuracy()
-	case s.mittCFQ != nil:
-		return s.mittCFQ.Accuracy()
-	case s.mittSSD != nil:
-		return s.mittSSD.Accuracy()
-	case s.mittDeadline != nil:
-		return s.mittDeadline.Accuracy()
-	default:
+	if s.st.Mitt == nil {
 		return Accuracy{}
 	}
+	return s.st.Mitt.Accuracy()
 }
