@@ -19,6 +19,7 @@ import (
 
 	"mittos"
 	"mittos/internal/blockio"
+	"mittos/internal/cluster"
 	"mittos/internal/noise"
 	"mittos/internal/stats"
 )
@@ -89,8 +90,8 @@ func main() {
 	}
 	stack := mittos.NewStack(eng, cfg)
 
-	// Noise tenant.
-	var sink blockio.Device = stackDevice{stack}
+	// Noise tenant, entering through the stack's SLO-aware entry point.
+	sink := &cluster.TargetDevice{T: stack.Target()}
 	op := blockio.Read
 	if o.device == "ssd" {
 		op = blockio.Write
@@ -133,21 +134,4 @@ func main() {
 	tb.AddRow("accepted max", stats.FormatDuration(accepted.Max()))
 	tb.AddRow("predicted wait now", stats.FormatDuration(stack.PredictWait(space/2, 4096)))
 	fmt.Print(tb.String())
-}
-
-// stackDevice adapts the facade stack to the blockio.Device the noise
-// injectors speak.
-type stackDevice struct{ s *mittos.Stack }
-
-// Submit implements blockio.Device.
-func (d stackDevice) Submit(req *blockio.Request) { d.s.Target().SubmitSLO(req, func(error) {}) }
-
-// InFlight implements blockio.Device.
-func (d stackDevice) InFlight() int { return 0 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
