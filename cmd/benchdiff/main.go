@@ -12,9 +12,11 @@
 // median of each measure across runs, and fails when:
 //
 //   - allocs/op rises at all over a zero baseline (a pinned allocation-free
-//     path), or by more than allocsSlackPct over a nonzero one (one-time
+//     path), by more than allocsSlackPct over a nonzero one (one-time
 //     warm-up allocations move experiment-scale counts by a few parts in
-//     ten thousand);
+//     ten thousand), or so that the head's lowest run sits above the
+//     base's highest, whatever the slack: a rise every run repeats is real
+//     however small;
 //   - B/op rises at all over a zero baseline, or by more than bytesSlackPct;
 //   - gc-pause-ns/op rises by more than gcPauseSlackPct where the base reads
 //     at least materialPauseNsPerOp;
@@ -36,6 +38,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -177,7 +180,8 @@ func regressions(base, head runs) []string {
 		}
 	}
 	if b, h, ok := medians(base, head, "allocs/op"); ok {
-		if (b == 0 && h > 0) || (b > 0 && pctRise(b, h) > allocsSlackPct) {
+		if (b == 0 && h > 0) || (b > 0 && pctRise(b, h) > allocsSlackPct) ||
+			slices.Min(head["allocs/op"]) > slices.Max(base["allocs/op"]) {
 			failed = append(failed, "allocs/op")
 		}
 	}

@@ -99,6 +99,15 @@ func TestRun(t *testing.T) {
 			out:  []string{"benchdiff: ok"},
 		},
 		{
+			// LoadSweep's spread over three runs on a 2-vCPU VM: a higher
+			// head median whose runs overlap the base's is noise.
+			name: "allocs runs that overlap at LoadSweep's spread",
+			base: allocRuns("LoadSweep", 1311996, 1312008, 1312024),
+			head: allocRuns("LoadSweep", 1312002, 1312015, 1312030),
+			want: 0,
+			out:  []string{"benchdiff: ok"},
+		},
+		{
 			name: "GC-pause rise over a sub-µs baseline",
 			base: repeat(3, gc("YCSBMix", 500)),
 			head: repeat(3, gc("YCSBMix", 5000)),
@@ -132,6 +141,15 @@ func TestRun(t *testing.T) {
 			name: "+0.2% allocs on an experiment-scale baseline",
 			base: repeat(3, "BenchmarkYCSBMix \t1\t2e8 ns/op\t31190680 B/op\t473410 allocs/op"),
 			head: repeat(3, "BenchmarkYCSBMix \t1\t2e8 ns/op\t31190680 B/op\t474357 allocs/op"),
+			want: 1,
+			out:  []string{"YCSBMix", "FAIL allocs/op"},
+		},
+		{
+			// Seven A/B rounds of YCSBMix: a rise of a few allocations, far
+			// inside the slack, that every head run shows over every base run.
+			name: "allocs rise under the slack that every run repeats",
+			base: allocRuns("YCSBMix", 409504, 409505, 409506, 409505, 409504, 409506, 409505),
+			head: allocRuns("YCSBMix", 409508, 409510, 409511, 409509, 409508, 409510, 409511),
 			want: 1,
 			out:  []string{"YCSBMix", "FAIL allocs/op"},
 		},
@@ -208,4 +226,15 @@ func ns(name string, v float64) string {
 // gc is one experiment-scale result line of name with v gc-pause-ns/op.
 func gc(name string, v float64) string {
 	return "Benchmark" + name + " \t1\t2e8 ns/op\t" + strconv.FormatFloat(v, 'g', -1, 64) + " gc-pause-ns/op\t3e7 B/op\t473410 allocs/op"
+}
+
+// allocRuns is one run of an experiment-scale result line of name per
+// allocs/op value in vs.
+func allocRuns(name string, vs ...float64) string {
+	var b strings.Builder
+	for _, v := range vs {
+		b.WriteString(bench("Benchmark" + name + " \t1\t2e8 ns/op\t3e7 B/op\t" +
+			strconv.FormatFloat(v, 'g', -1, 64) + " allocs/op"))
+	}
+	return b.String()
 }
