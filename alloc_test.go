@@ -1,6 +1,7 @@
 package mittos
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"mittos/internal/netsim"
 	"mittos/internal/oscache"
 	"mittos/internal/sim"
+	"mittos/internal/ssd"
 	"mittos/internal/stats"
 	"mittos/internal/ycsb"
 )
@@ -222,6 +224,87 @@ func TestAllocBudgets(t *testing.T) {
 		})
 		if avg != 0 {
 			t.Fatalf("EvictRange+Warm allocates %.1f objects per cycle; budget is 0", avg)
+		}
+	})
+	t.Run("SSDNew", func(t *testing.T) {
+		// The FTL grows with the pages written, so a DefaultConfig device
+		// (128 chips, 56 GiB of 16 KiB logical pages) is a few objects per
+		// chip, not its page-mapped capacity.
+		cfg := ssd.DefaultConfig()
+		eng := NewEngine()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		dev := ssd.New(eng, cfg)
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(dev)
+		bytes, objs := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+		if perChip := 4*cfg.TotalChips() + 32; bytes >= 1<<20 || objs > uint64(perChip) {
+			t.Fatalf("ssd.New allocates %d bytes in %d objects; budget is under 1 MiB and %d objects (4 per chip + 32)",
+				bytes, objs, perChip)
+		}
+	})
+	// ssdWrite writes one page of dev through req and drains the engine.
+	ssdWrite := func(eng *Engine, dev *ssd.SSD, req *Request, page int) {
+		req.Offset = int64(page) * int64(req.Size)
+		dev.Submit(req)
+		eng.Run()
+	}
+	t.Run("SSDRewrite", func(t *testing.T) {
+		// Once the hot pages have mapping leaves and every block has been
+		// programmed, overwrites, GC and wear leveling reuse what the FTL
+		// grew: dropping a leaf or rmap and growing it again shows here.
+		cfg := ssd.DefaultConfig()
+		cfg.Channels, cfg.ChipsPerChannel = 2, 2
+		cfg.BlocksPerChip, cfg.PagesPerBlock = 8, 32
+		cfg.OverprovisionBlocks = 2
+		cfg.WearLevelEvery = 3
+		eng := NewEngine()
+		dev := ssd.New(eng, cfg)
+		gcs := 0
+		dev.SetGCHook(func(ssd.GCEvent) { gcs++ })
+		req := &Request{Op: OpWrite, Size: cfg.PageSize, OnComplete: func(*Request) {}}
+		i := 0
+		write := func() { // cycles over 64 hot pages, 16 per chip
+			ssdWrite(eng, dev, req, i%64)
+			i++
+		}
+		for n := 0; n < 4*cfg.BlocksPerChip*cfg.PagesPerBlock*cfg.TotalChips(); n++ {
+			write()
+		}
+		if _, _, erases := dev.Stats(); gcs == 0 || dev.WearLevelMoves() == 0 || erases == 0 {
+			t.Fatalf("warm-up ran %d GC episodes, %d erases and %d wear-leveling moves; want all three",
+				gcs, erases, dev.WearLevelMoves())
+		}
+		// AllocsPerRun truncates to whole objects per run, so each run is
+		// 256 writes: two blocks per chip, with their erases.
+		avg := testing.AllocsPerRun(10, func() {
+			for n := 0; n < 256; n++ {
+				write()
+			}
+		})
+		if avg != 0 {
+			t.Fatalf("256 rewrites allocate %.1f objects; budget is 0", avg)
+		}
+	})
+	t.Run("SSDPoolReuse", func(t *testing.T) {
+		// An arena leg takes its device from an ssd.Pool, writes, and parks
+		// it again. reset keeps the leaves and rmaps the last leg grew, so
+		// a leg that writes the same pages allocates nothing.
+		var pool ssd.Pool
+		eng := NewEngine()
+		cfg := ssd.DefaultConfig()
+		req := &Request{Op: OpWrite, Size: cfg.PageSize, OnComplete: func(*Request) {}}
+		leg := func() {
+			dev := pool.Get(eng, cfg)
+			for page := 0; page < 64; page++ {
+				ssdWrite(eng, dev, req, page)
+			}
+			pool.Put(dev)
+			eng.Reset()
+		}
+		leg() // grow the leaves, rmaps and per-IO pools
+		if avg := testing.AllocsPerRun(20, leg); avg != 0 {
+			t.Fatalf("a pooled leg allocates %.1f objects; budget is 0", avg)
 		}
 	})
 	t.Run("PoissonTick", func(t *testing.T) {

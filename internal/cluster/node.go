@@ -91,9 +91,10 @@ type NodeConfig struct {
 	// fleet starts with every pool warm; nil gets a private bundle.
 	Pools *Pools
 	// SSDPool, when non-nil, recycles SSD devices across fleets: an SSD
-	// node takes a reset device from the pool instead of building the
-	// multi-megabyte FTL arrays from scratch. The owner reclaims devices at
-	// teardown with SSDPool.Put(node.SSD).
+	// node takes a reset device from the pool, keeping the FTL leaves and
+	// per-IO pools its last leg grew, instead of building a device that
+	// grows them again. The owner reclaims devices at teardown with
+	// SSDPool.Put(node.SSD).
 	SSDPool *ssd.Pool
 }
 

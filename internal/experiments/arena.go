@@ -95,8 +95,8 @@ func (a *legArena) reset() {
 }
 
 // The package-level arena pool: arenas persist across runLegs calls (and
-// across benchmark iterations), so the multi-megabyte freelists they
-// accumulate — SSD FTL arrays, page slabs, sample buffers — are paid for
+// across benchmark iterations), so what they accumulate — SSD devices with
+// the FTL leaves their legs grew, page slabs, sample buffers — is paid for
 // once per worker, not once per leg.
 var (
 	arenaMu   sync.Mutex

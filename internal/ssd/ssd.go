@@ -140,8 +140,6 @@ type SSD struct {
 	erases   uint64
 	wlMoves  uint64
 
-	erasesSinceWL []int
-
 	// Pools for the per-IO machinery: page ops, request groups, and
 	// chip-busy episodes. The steady-state per-IO path allocates nothing.
 	ops    sim.Freelist[pageOp]
@@ -227,16 +225,40 @@ type chip struct {
 	id  int
 	srv server
 
-	// FTL state. Its zero value is the factory state, so New allocates it
-	// without filling and reset only clears it.
-	mapping     []int32 // chip-local logical page → physical page (block*ppb+idx) + 1, 0 unmapped
-	rmap        []int32 // physical page → chip-local logical page; meaningful only while the page is valid
-	pageState   []int8  // physical page: 0 free, 1 valid, 2 invalid
-	validCount  []int   // per block
-	writeFront  []int   // per block: next unwritten page index
-	freeBlocks  []int
+	// FTL state. It grows with the pages written, not with the chip's
+	// capacity: a mapping leaf is allocated on the first write into its
+	// range and a block's rmap when the block is first programmed. A nil
+	// leaf or rmap reads as all zero, which is the factory state, so reset
+	// clears what a device has grown and allocates nothing.
+	mapping     []*mapLeaf // leaf i maps chip-local logical pages [i*leafPages, (i+1)*leafPages)
+	blocks      []block
+	freeBlocks  []int // FIFO, popped by shifting so its one array, sized for every block, is kept
 	activeBlock int
-	eraseCount  []int
+	sinceWL     int // erases since the last wear-leveling episode
+}
+
+// leafShift sets the mapping leaf size: leafPages logical pages, 2 KiB of
+// entries. On the benchmark's node-ssd and paper-suite workloads 128-entry
+// leaves allocated 4% less and 2048-entry leaves 3–8% more; 512 keeps a
+// DefaultConfig device's leaf directories at 57 KB.
+const (
+	leafShift = 9
+	leafPages = 1 << leafShift
+)
+
+// mapLeaf maps chip-local logical pages to physical page (block*ppb+idx) + 1,
+// 0 unmapped.
+type mapLeaf [leafPages]int32
+
+// block is one erase block's FTL record.
+type block struct {
+	// rmap maps a page index to its chip-local logical page + 1 while the
+	// page is valid, and 0 once it is free or invalid: no FTL decision
+	// tells those two apart. nil until the block is first programmed.
+	rmap   []int32
+	valid  int // valid pages
+	front  int // next unwritten page index
+	erases int
 }
 
 // channel is the shared transfer bus behind a set of chips.
@@ -254,33 +276,29 @@ func New(eng *sim.Engine, cfg Config) *SSD {
 	if cfg.OverprovisionBlocks >= cfg.BlocksPerChip {
 		panic("ssd: overprovisioning exceeds capacity")
 	}
-	s := &SSD{eng: eng, cfg: cfg, pattern: cfg.ProgramPattern(),
-		erasesSinceWL: make([]int, cfg.TotalChips()), degrade: 1.0}
-	for i := 0; i < cfg.Channels; i++ {
-		s.channels = append(s.channels, &channel{id: i})
+	s := &SSD{eng: eng, cfg: cfg, pattern: cfg.ProgramPattern(), degrade: 1.0,
+		chips: make([]*chip, cfg.TotalChips()), channels: make([]*channel, cfg.Channels)}
+	for i := range s.channels {
+		s.channels[i] = &channel{id: i}
 	}
-	pagesPerChip := cfg.BlocksPerChip * cfg.PagesPerBlock
 	userPages := (cfg.BlocksPerChip - cfg.OverprovisionBlocks) * cfg.PagesPerBlock
-	for i := 0; i < cfg.TotalChips(); i++ {
+	for i := range s.chips {
 		c := &chip{
 			id:         i,
-			mapping:    make([]int32, userPages),
-			rmap:       make([]int32, pagesPerChip),
-			pageState:  make([]int8, pagesPerChip),
-			validCount: make([]int, cfg.BlocksPerChip),
-			writeFront: make([]int, cfg.BlocksPerChip),
-			eraseCount: make([]int, cfg.BlocksPerChip),
+			mapping:    make([]*mapLeaf, (userPages+leafPages-1)/leafPages),
+			blocks:     make([]block, cfg.BlocksPerChip),
+			freeBlocks: make([]int, 0, cfg.BlocksPerChip),
 		}
-		c.resetFreeBlocks(cfg.BlocksPerChip)
-		s.chips = append(s.chips, c)
+		c.resetFreeBlocks()
+		s.chips[i] = c
 	}
 	return s
 }
 
 // resetFreeBlocks makes block 0 the active block and every other one free.
-func (c *chip) resetFreeBlocks(blocks int) {
+func (c *chip) resetFreeBlocks() {
 	c.freeBlocks = c.freeBlocks[:0]
-	for b := 1; b < blocks; b++ {
+	for b := 1; b < len(c.blocks); b++ {
 		c.freeBlocks = append(c.freeBlocks, b)
 	}
 	c.activeBlock = 0
@@ -292,21 +310,25 @@ func (s *SSD) Config() Config { return s.cfg }
 // reset returns the device to its factory state on a (possibly reused)
 // engine, exactly as New left it: FTL mappings cleared, server queues
 // emptied, counters zeroed, degradation and fault injection off, hooks and
-// recorder detached. The chips' backing arrays and the per-IO pools
-// survive, which is the point — a reset SSD costs a few array clears
-// instead of the multi-hundred-MB rebuild New does at experiment scale.
-// Tasks still queued on a die or channel are orphaned, so only reset a
-// device whose engine has been halted or reset.
+// recorder detached. The mapping leaves and block rmaps a run grew are
+// cleared and kept, as are the per-IO pools, so a reset device writes
+// the same pages again without allocating. Tasks still queued on a die or
+// channel are orphaned, so only reset a device whose engine has been
+// halted or reset.
 func (s *SSD) reset(eng *sim.Engine) {
 	s.eng = eng
 	for _, c := range s.chips {
-		clear(c.mapping)
-		clear(c.rmap)
-		clear(c.pageState)
-		clear(c.validCount)
-		clear(c.writeFront)
-		clear(c.eraseCount)
-		c.resetFreeBlocks(s.cfg.BlocksPerChip)
+		for _, leaf := range c.mapping {
+			if leaf != nil {
+				clear(leaf[:])
+			}
+		}
+		for i := range c.blocks {
+			clear(c.blocks[i].rmap)
+			c.blocks[i] = block{rmap: c.blocks[i].rmap}
+		}
+		c.resetFreeBlocks()
+		c.sinceWL = 0
 		c.srv.reset()
 	}
 	for _, ch := range s.channels {
@@ -314,7 +336,6 @@ func (s *SSD) reset(eng *sim.Engine) {
 	}
 	s.inflight = 0
 	s.reads, s.writes, s.erases, s.wlMoves = 0, 0, 0, 0
-	clear(s.erasesSinceWL)
 	s.degrade = 1.0
 	s.errRate, s.errRNG = 0, nil
 	s.gcHook, s.submitHook, s.rec = nil, nil, nil
@@ -331,11 +352,11 @@ func (sv *server) reset() {
 }
 
 // Pool caches built SSDs by geometry so an experiment arena can hand a
-// fully-constructed device from a finished leg to the next one: the FTL
-// arrays of a DefaultConfig device are ~30MB, and a fleet of them dominated
-// the per-leg allocation profile. Get resets a cached device onto the given
-// engine (byte-identical to a fresh New) or builds one; Put parks a device
-// whose engine is done with it.
+// device from a finished leg to the next one together with the FTL leaves,
+// block rmaps and per-IO pools it grew: a leg that writes the same pages
+// as the last one then allocates none of them. Get resets a cached device
+// onto the given engine (byte-identical to a fresh New) or builds one; Put
+// parks a device whose engine is done with it.
 type Pool struct {
 	free map[Config][]*SSD
 }
@@ -409,8 +430,8 @@ func (s *SSD) Stats() (reads, writes, erases uint64) {
 // EraseCount returns the total block erases on a chip (wear accounting).
 func (s *SSD) EraseCount(chipID int) int {
 	total := 0
-	for _, e := range s.chips[chipID].eraseCount {
-		total += e
+	for _, b := range s.chips[chipID].blocks {
+		total += b.erases
 	}
 	return total
 }
@@ -639,25 +660,36 @@ func (s *SSD) occupyChip(c *chip, busy time.Duration) {
 // allocPage invalidates the old mapping of chip-local logical page cl and
 // returns a fresh physical page on the active block.
 func (s *SSD) allocPage(c *chip, cl int32) int {
-	if old := int(c.mapping[cl]) - 1; old >= 0 {
-		c.pageState[old] = 2 // invalid
-		c.validCount[old/s.cfg.PagesPerBlock]--
+	ppb := s.cfg.PagesPerBlock
+	leaf := c.mapping[cl>>leafShift]
+	if leaf == nil {
+		leaf = new(mapLeaf)
+		c.mapping[cl>>leafShift] = leaf
 	}
-	if c.writeFront[c.activeBlock] >= s.cfg.PagesPerBlock {
+	entry := &leaf[cl&(leafPages-1)]
+	if old := int(*entry) - 1; old >= 0 {
+		b := &c.blocks[old/ppb]
+		b.rmap[old%ppb] = 0 // invalid
+		b.valid--
+	}
+	if c.blocks[c.activeBlock].front >= ppb {
 		if len(c.freeBlocks) == 0 {
 			// GC must have freed something by now; if not, the device is
 			// truly full — a configuration error in the experiment.
 			panic("ssd: chip out of free blocks (logical space overcommitted)")
 		}
 		c.activeBlock = c.freeBlocks[0]
-		c.freeBlocks = c.freeBlocks[1:]
+		c.freeBlocks = append(c.freeBlocks[:0], c.freeBlocks[1:]...)
 	}
-	phys := c.activeBlock*s.cfg.PagesPerBlock + c.writeFront[c.activeBlock]
-	c.writeFront[c.activeBlock]++
-	c.pageState[phys] = 1
-	c.rmap[phys] = cl
-	c.validCount[c.activeBlock]++
-	c.mapping[cl] = int32(phys) + 1
+	b := &c.blocks[c.activeBlock]
+	if b.rmap == nil {
+		b.rmap = make([]int32, ppb)
+	}
+	phys := c.activeBlock*ppb + b.front
+	b.rmap[b.front] = cl + 1
+	b.front++
+	b.valid++
+	*entry = int32(phys) + 1
 	return phys
 }
 
@@ -672,18 +704,18 @@ func (s *SSD) maybeGC(c *chip) {
 	}
 	victim := -1
 	best := int(^uint(0) >> 1)
-	for b := 0; b < s.cfg.BlocksPerChip; b++ {
-		if b == c.activeBlock {
+	for i, b := range c.blocks {
+		if i == c.activeBlock {
 			continue
 		}
-		if c.writeFront[b] == 0 {
+		if b.front == 0 {
 			continue // never written; nothing to reclaim
 		}
-		if c.writeFront[b] < s.cfg.PagesPerBlock {
+		if b.front < s.cfg.PagesPerBlock {
 			continue // still open
 		}
-		if c.validCount[b] < best {
-			victim, best = b, c.validCount[b]
+		if b.valid < best {
+			victim, best = i, b.valid
 		}
 	}
 	if victim < 0 {
@@ -706,22 +738,22 @@ func (s *SSD) maybeWearLevel(c *chip) {
 	if s.cfg.WearLevelEvery <= 0 {
 		return
 	}
-	s.erasesSinceWL[c.id]++
-	if s.erasesSinceWL[c.id] < s.cfg.WearLevelEvery {
+	c.sinceWL++
+	if c.sinceWL < s.cfg.WearLevelEvery {
 		return
 	}
-	s.erasesSinceWL[c.id] = 0
+	c.sinceWL = 0
 	// Victim: the most-erased block with valid content.
 	victim, worst := -1, -1
-	for b := 0; b < s.cfg.BlocksPerChip; b++ {
-		if b == c.activeBlock || c.validCount[b] == 0 {
+	for i, b := range c.blocks {
+		if i == c.activeBlock || b.valid == 0 {
 			continue
 		}
-		if c.writeFront[b] < s.cfg.PagesPerBlock {
+		if b.front < s.cfg.PagesPerBlock {
 			continue
 		}
-		if c.eraseCount[b] > worst {
-			victim, worst = b, c.eraseCount[b]
+		if b.erases > worst {
+			victim, worst = i, b.erases
 		}
 	}
 	if victim < 0 || len(c.freeBlocks) == 0 {
@@ -736,27 +768,27 @@ func (s *SSD) maybeWearLevel(c *chip) {
 }
 
 // migrate copies every valid page of block victim forward to the active
-// block (intra-chip copyback: read + program per page; allocPage invalidates
-// the source page) and erases victim into the free pool. It returns the pages
+// block (intra-chip copyback: read + program per page) and erases victim
+// into the free pool. allocPage invalidates each source page as it moves
+// it, so the erased block's rmap is left all zero. It returns the pages
 // moved and the chip time the episode consumes.
 func (s *SSD) migrate(c *chip, victim int) (moved int, busy time.Duration) {
 	ppb := s.cfg.PagesPerBlock
-	base := victim * ppb
-	for phys := base; phys < base+ppb; phys++ {
-		if c.pageState[phys] != 1 {
+	v := &c.blocks[victim]
+	for _, owner := range v.rmap {
+		if owner == 0 {
 			continue
 		}
 		moved++
 		busy += s.cfg.ChipReadTime
-		newPhys := s.allocPage(c, c.rmap[phys])
+		newPhys := s.allocPage(c, owner-1)
 		busy += s.pattern[newPhys%ppb]
 	}
 	busy += s.cfg.EraseTime
 	s.erases++
-	c.eraseCount[victim]++
-	c.validCount[victim] = 0
-	c.writeFront[victim] = 0
-	clear(c.pageState[base : base+ppb])
+	v.erases++
+	v.valid = 0
+	v.front = 0
 	c.freeBlocks = append(c.freeBlocks, victim)
 	return moved, busy
 }

@@ -357,32 +357,39 @@ func TestPropertyFTLMappingBijective(t *testing.T) {
 			eng.Run()
 		}
 		c := s.chips[0]
+		ppb := cfg.PagesPerBlock
 		seen := map[int32]bool{}
-		for cl, enc := range c.mapping {
+		for cl := 0; cl < userPages; cl++ {
+			enc := c.lookup(cl)
 			if enc == 0 {
 				continue // unmapped
 			}
 			phys := enc - 1
-			if phys < 0 || int(phys) >= len(c.pageState) {
+			if phys < 0 || int(phys) >= cfg.BlocksPerChip*ppb {
 				return false // not a physical page
 			}
 			if seen[phys] {
 				return false // two logical pages share a physical page
 			}
 			seen[phys] = true
-			if c.pageState[phys] != 1 {
-				return false // mapped but not valid
-			}
-			if c.rmap[phys] != int32(cl) {
-				return false // rmap does not invert mapping
+			if c.owner(int(phys), ppb) != int32(cl)+1 {
+				return false // mapped but not valid, or rmap does not invert mapping
 			}
 		}
-		// Every valid physical page is some logical page's mapping.
+		// Every valid physical page is some logical page's mapping, and each
+		// block's valid count is its valid pages.
 		valid := 0
-		for _, st := range c.pageState {
-			if st == 1 {
-				valid++
+		for b, blk := range c.blocks {
+			n := 0
+			for i := 0; i < ppb; i++ {
+				if c.owner(b*ppb+i, ppb) != 0 {
+					n++
+				}
 			}
+			if n != blk.valid {
+				return false
+			}
+			valid += n
 		}
 		return valid == len(seen)
 	}
@@ -457,16 +464,49 @@ func TestWearLevelingDisabled(t *testing.T) {
 	}
 }
 
-// ftlState renders a device's FTL and wear state for comparison. rmap is
-// included whole: reset must clear it as New leaves it, although it is read
-// only while its page is valid.
+// lookup returns chip-local logical page cl's mapping entry: physical page
+// + 1, or 0 unmapped. A nil leaf reads as all-unmapped.
+func (c *chip) lookup(cl int) int32 {
+	if leaf := c.mapping[cl>>leafShift]; leaf != nil {
+		return leaf[cl&(leafPages-1)]
+	}
+	return 0
+}
+
+// owner returns physical page phys's rmap entry: its chip-local logical
+// page + 1 while valid, else 0. A nil rmap reads as all-free.
+func (c *chip) owner(phys, ppb int) int32 {
+	if rmap := c.blocks[phys/ppb].rmap; rmap != nil {
+		return rmap[phys%ppb]
+	}
+	return 0
+}
+
+// ftlState renders a device's FTL and wear state for comparison, through
+// lookup and owner, so a reset device's cleared leaves and rmaps render as
+// a fresh device's nil ones. Every rmap entry is included: reset must leave
+// none of them set.
 func ftlState(s *SSD) string {
-	out := fmt.Sprintf("reads=%d writes=%d erases=%d wl=%d inflight=%d since=%v\n",
-		s.reads, s.writes, s.erases, s.wlMoves, s.inflight, s.erasesSinceWL)
+	cfg := s.cfg
+	ppb := cfg.PagesPerBlock
+	userPages := (cfg.BlocksPerChip - cfg.OverprovisionBlocks) * ppb
+	out := fmt.Sprintf("reads=%d writes=%d erases=%d wl=%d inflight=%d\n",
+		s.reads, s.writes, s.erases, s.wlMoves, s.inflight)
 	for _, c := range s.chips {
-		out += fmt.Sprintf("chip %d: active=%d free=%v valid=%v front=%v erased=%v map=%v rmap=%v state=%v queue=%d\n",
-			c.id, c.activeBlock, c.freeBlocks, c.validCount, c.writeFront, c.eraseCount,
-			c.mapping, c.rmap, c.pageState, c.srv.occupancy())
+		mapping := make([]int32, userPages)
+		for cl := range mapping {
+			mapping[cl] = c.lookup(cl)
+		}
+		rmap := make([]int32, len(c.blocks)*ppb)
+		for phys := range rmap {
+			rmap[phys] = c.owner(phys, ppb)
+		}
+		var valid, front, erased []int
+		for _, b := range c.blocks {
+			valid, front, erased = append(valid, b.valid), append(front, b.front), append(erased, b.erases)
+		}
+		out += fmt.Sprintf("chip %d: active=%d free=%v since=%d valid=%v front=%v erased=%v map=%v rmap=%v queue=%d\n",
+			c.id, c.activeBlock, c.freeBlocks, c.sinceWL, valid, front, erased, mapping, rmap, c.srv.occupancy())
 	}
 	for _, ch := range s.channels {
 		out += fmt.Sprintf("channel %d: queue=%d\n", ch.id, ch.srv.occupancy())
