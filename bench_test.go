@@ -481,6 +481,22 @@ func BenchmarkSeekCost(b *testing.B) {
 	seekCostSink = sink
 }
 
+// BenchmarkZipfNext measures one zipfian key draw over a YCSB-size key
+// space: the key choice of every zipfian client op and of synthetic trace
+// generation.
+func BenchmarkZipfNext(b *testing.B) {
+	z := sim.NewZipf(sim.NewRNG(9, "bench-zipf"), 100_000, 0.99)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var sink int64
+	for i := 0; i < b.N; i++ {
+		sink += z.Next()
+	}
+	zipfSink = sink
+}
+
+var zipfSink int64
+
 // BenchmarkEngineThroughput measures raw event-loop throughput, the floor
 // under every experiment's wall-clock time. It drives the fire-and-forget
 // After path the device models use; with the engine's freelist warm,

@@ -28,7 +28,7 @@ out=$(cd "$2" && pwd)
 # allocation counts repeat run to run.
 hot=(AdmissionDecision PredictWaitCFQ CFQSubmitDispatch DeadlineSubmitDispatch
 	SSDSubmitDispatch PutAdmission ReplicaCalls DiskDestage SeekCost EngineThroughput
-	EngineCancelHeavy EngineMixedHorizon)
+	EngineCancelHeavy EngineMixedHorizon ZipfNext)
 experiments=(Fig4 YCSBMix LoadSweep)
 rounds=7
 

@@ -128,12 +128,14 @@ func (g *RNG) Bool(p float64) bool {
 // (0,1), using the YCSB/Gray et al. construction. A theta of 0.99 matches
 // YCSB's default "zipfian" request distribution.
 type Zipf struct {
-	n      int64
-	theta  float64
-	alpha  float64
-	zetan  float64
-	eta    float64
-	zeta2  float64
+	n     int64
+	alpha float64
+	zetan float64
+	eta   float64
+	zeta2 float64
+	// rank1 is 1 + 0.5^θ: a draw whose u·ζ(n) lies in [1, rank1) is rank
+	// 1. It is a field because its Pow would dominate the cost of a draw.
+	rank1  float64
 	source *RNG
 }
 
@@ -145,7 +147,7 @@ func NewZipf(g *RNG, n int64, theta float64) *Zipf {
 	if !(theta > 0 && theta < 1) {
 		panic("sim: NewZipf requires theta in (0,1)")
 	}
-	z := &Zipf{n: n, theta: theta, source: g}
+	z := &Zipf{n: n, rank1: 1.0 + math.Pow(0.5, theta), source: g}
 	z.zeta2 = zetaStatic(2, theta)
 	z.zetan = zeta(n, theta)
 	z.alpha = 1.0 / (1.0 - theta)
@@ -204,7 +206,7 @@ func (z *Zipf) Next() int64 {
 	if uz < 1.0 {
 		return 0
 	}
-	if uz < 1.0+math.Pow(0.5, z.theta) {
+	if uz < z.rank1 {
 		return 1
 	}
 	v := int64(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))

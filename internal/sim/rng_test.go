@@ -224,6 +224,43 @@ func TestZipfDrawsColdAndWarmMemo(t *testing.T) {
 	}
 }
 
+// zipfNextPerDraw is Zipf.Next as it was while it evaluated 1 + 0.5^θ on
+// every draw.
+func zipfNextPerDraw(z *Zipf, theta float64) int64 {
+	u := z.source.Float64()
+	uz := u * z.zetan
+	if uz < 1.0 {
+		return 0
+	}
+	if uz < 1.0+math.Pow(0.5, theta) {
+		return 1
+	}
+	v := int64(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
+	if v >= z.n {
+		v = z.n - 1
+	}
+	if v < 0 {
+		v = 0
+	}
+	return v
+}
+
+// TestZipfRank1Hoisted checks that Next, with its rank-1 cutoff computed
+// once in NewZipf, draws the same keys as the per-draw formula.
+func TestZipfRank1Hoisted(t *testing.T) {
+	for _, theta := range []float64{0.5, 0.99} {
+		for _, n := range []int64{1, 2, 100000, 200000} {
+			z := NewZipf(NewRNG(11, "zipf-rank1"), n, theta)
+			ref := NewZipf(NewRNG(11, "zipf-rank1"), n, theta)
+			for i := 0; i < 100_000; i++ {
+				if got, want := z.Next(), zipfNextPerDraw(ref, theta); got != want {
+					t.Fatalf("n=%d θ=%v draw %d: Next %d, per-draw formula %d", n, theta, i, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestZipfMemoConcurrent builds samplers from several goroutines at once,
 // with shared and per-goroutine key spaces and two skews, the way leg
 // set-up on parallel workers does; run it under -race.
