@@ -9,20 +9,19 @@ import (
 	"mittos/internal/stats"
 )
 
-// legArena is a worker-local, reusable simulation context. A leg that runs
-// inside runLegs builds its fleets through the arena instead of from a cold
-// heap: the engine (with its event freelist), the cluster-level serve/call
-// context freelists, the shared block-request pool, the page-cache slab,
-// recycled SSD devices, and the latency-sample buffer pool all survive from
-// one leg to the next. Between legs the runner calls reset, which reclaims
-// everything the finished leg left behind and rewinds the engine to time
-// zero.
+// legArena is a worker-local, reusable simulation context. Every leg builds
+// its fleets through the arena (newFleet): the engine (with its event
+// freelist), the cluster-level serve/call context freelists, the shared
+// block-request pool, the page-cache slab, recycled SSD devices, and the
+// latency-sample buffer pool all survive from one leg to the next. Between
+// legs the runner calls reset, which reclaims everything the finished leg
+// left behind and rewinds the engine to time zero.
 //
 // Arena reuse is invisible to the simulation: every pooled object is fully
 // reinitialized at acquire, the engine's (time, seq) order restarts from the
 // same zero state a fresh engine has, and sample-buffer capacity does not
 // affect Sample semantics. TestLegArenaReuse pins this (a reused arena must
-// render byte-identically to fresh heaps), and the golden suite runs the
+// render byte-identically to a fresh one), and the golden suite runs the
 // whole experiment matrix through arenas at -golden-workers 1 and 8.
 type legArena struct {
 	eng   *sim.Engine
@@ -30,8 +29,8 @@ type legArena struct {
 	ssds  *ssd.Pool
 	bufs  *stats.BufPool
 
-	// Per-leg registries, drained by reset: fleets built via a.newFleet /
-	// newFleetOn and the clients started on them.
+	// Per-leg registries, drained by reset: fleets built via a.newFleet
+	// and the clients started on them.
 	fleets  []*fleet
 	clients []*cluster.Client
 }
@@ -43,18 +42,6 @@ func newLegArena() *legArena {
 		ssds:  &ssd.Pool{},
 		bufs:  &stats.BufPool{},
 	}
-}
-
-// newFleet builds a fleet on the arena's engine, drawing every poolable
-// resource from the arena.
-func (a *legArena) newFleet(opt Options, kind fleetKind, mitt bool, seedSalt string) *fleet {
-	return newFleetOn(a, a.eng, opt, kind, mitt, seedSalt)
-}
-
-// adoptClients registers externally-built clients (fig8's single-box run)
-// so reset returns their sample buffers to the arena pool.
-func (a *legArena) adoptClients(clients []*cluster.Client) {
-	a.clients = append(a.clients, clients...)
 }
 
 // reset reclaims everything the finished leg stranded and rewinds the arena

@@ -10,7 +10,7 @@ import (
 
 // TestLegArenaReuse pins the arena contract: running a leg through an arena
 // that already hosted other legs must be indistinguishable from running it
-// on a fresh heap. The schedule alternates Base and MittOS mixed-workload
+// on a fresh arena. The schedule alternates Base and MittOS mixed-workload
 // legs — the shape a real worker sees — so any state leaking across reset
 // (a stale pooled context, an engine that didn't rewind, a dirty sample
 // buffer, a recycled SSD with leftover FTL state) shows up as a divergent
@@ -37,33 +37,24 @@ func TestLegArenaReuse(t *testing.T) {
 				strat = &cluster.BaseStrategy{C: f.c}
 				ps = &cluster.BasePut{C: f.c}
 			}
-			clients := f.startMixedClients(opt, strat, ps, ycsbMixWorkloads[0].config(opt.Keys), false)
-			f.eng.RunFor(opt.Duration)
-			for _, cl := range clients {
-				cl.Stop()
-			}
-			f.stopNoise()
-			f.eng.RunFor(5 * time.Second) // drain in-flight quorums
-			io, _ := collectClients(clients)
-			puts := collectPuts(clients)
+			clients := f.startClients(opt, opt.clientConfig(1), ycsbMixWorkloads[0].config(opt.Keys),
+				strat, ps, false, "ymix-")
+			a.run(opt.Duration, legDrain)
+			o := harvest(clients, getLat|putLat)
+			io, puts := o.get, o.put
 			if io.N() == 0 || puts.N() == 0 {
 				t.Fatalf("%s leg ran empty (%d gets, %d puts); the fingerprint would compare nothing", name, io.N(), puts.N())
-			}
-			finished, errors := 0, 0
-			for _, cl := range clients {
-				finished += cl.Finished()
-				errors += cl.Errors()
 			}
 			return fmt.Sprintf(
 				"%s n=%d p50=%v p95=%v p99=%v putn=%d putp95=%v putp99=%v finished=%d errors=%d",
 				name, io.N(), io.Percentile(50), io.Percentile(95), io.Percentile(99),
-				puts.N(), puts.Percentile(95), puts.Percentile(99), finished, errors)
+				puts.N(), puts.Percentile(95), puts.Percentile(99), o.finished, o.errors)
 		}
 	}
 
 	schedule := []func(*legArena) string{leg(false), leg(true), leg(false), leg(true)}
 
-	// Fresh-heap references: a brand-new arena per leg, never reused.
+	// Fresh references: a brand-new arena per leg, never reused.
 	want := make([]string, len(schedule))
 	for i, fn := range schedule {
 		want[i] = fn(newLegArena())
@@ -73,7 +64,7 @@ func TestLegArenaReuse(t *testing.T) {
 	a := newLegArena()
 	for i, fn := range schedule {
 		if got := fn(a); got != want[i] {
-			t.Fatalf("leg %d through a reused arena diverged from the fresh-heap run:\n reused: %s\n  fresh: %s",
+			t.Fatalf("leg %d through a reused arena diverged from the fresh-arena run:\n reused: %s\n  fresh: %s",
 				i, got, want[i])
 		}
 		a.reset()

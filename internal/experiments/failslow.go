@@ -97,7 +97,7 @@ func Failslow(opt Options) *Result {
 
 	// The quiet (fault-free, noise-free) baseline p95 sets the deadline and
 	// timeout knobs; the faults themselves are this experiment's noise.
-	p95, _ := baselineP95(opt, fleetDisk, false)
+	p95, _ := baselineP95(opt, nil, "baseline")
 	res.Notes = append(res.Notes, fmt.Sprintf("deadline/timeout/hedge trigger = quiet-Base p95 = %v", p95))
 
 	runs := []struct {
@@ -131,13 +131,8 @@ func Failslow(opt Options) *Result {
 		}},
 	}
 
-	type legOut struct {
-		io       *stats.Sample
-		finished int
-		errors   int
-		wasted   uint64
-	}
 	outs := make([]legOut, len(runs))
+	wasted := make([]uint64, len(runs))
 	var ls legs
 	for i, r := range runs {
 		i, r := i, r
@@ -146,19 +141,8 @@ func Failslow(opt Options) *Result {
 			ad := cluster.NewFaultAdapter(f.c, sim.NewRNG(opt.Seed, "faults-"+r.name))
 			sched.Start(f.eng, ad)
 			strat := r.mk(f.c)
-			clients := f.startClients(opt, strat, 1)
-			f.eng.RunFor(opt.Duration)
-			for _, cl := range clients {
-				cl.Stop()
-			}
-			f.eng.RunFor(5 * time.Second) // drain in-flight requests
-			io, _ := collectClients(clients)
-			o := legOut{io: io, wasted: wastedIOs(strat)}
-			for _, cl := range clients {
-				o.finished += cl.Finished()
-				o.errors += cl.Errors()
-			}
-			outs[i] = o
+			outs[i] = f.runClients(opt, strat, 1, getLat)
+			wasted[i] = wastedIOs(strat)
 		})
 	}
 	runLegs(opt.Workers, ls)
@@ -166,18 +150,14 @@ func Failslow(opt Options) *Result {
 	tb := &stats.Table{Header: []string{"strategy", "finished", "errors", "err%", "wasted IOs", "p95", "p99"}}
 	for i, r := range runs {
 		o := outs[i]
-		res.Series = append(res.Series, Series{Name: r.name, Sample: o.io})
-		errPct := 0.0
-		if o.finished > 0 {
-			errPct = 100 * float64(o.errors) / float64(o.finished)
-		}
+		res.Series = append(res.Series, Series{Name: r.name, Sample: o.get})
 		tb.AddRow(r.name,
 			fmt.Sprint(o.finished),
 			fmt.Sprint(o.errors),
-			fmt.Sprintf("%.2f%%", errPct),
-			fmt.Sprint(o.wasted),
-			stats.FormatDuration(o.io.Percentile(95)),
-			stats.FormatDuration(o.io.Percentile(99)),
+			o.errPct(),
+			fmt.Sprint(wasted[i]),
+			stats.FormatDuration(o.get.Percentile(95)),
+			stats.FormatDuration(o.get.Percentile(99)),
 		)
 	}
 	res.Tables = append(res.Tables, tb)

@@ -21,13 +21,7 @@ func Fig11(opt Options) *Result {
 	res := &Result{ID: "fig11", Title: "Macrobenchmark + production workload mix (§7.8.1)"}
 
 	// Stage 1: baseline under the mix sets the knobs.
-	var baseIO *stats.Sample
-	runLegs(opt.Workers, legs{func(a *legArena) {
-		fb := a.newFleet(opt, fleetDisk, false, "fig11-base")
-		addWorkloadMix(fb, opt)
-		baseIO, _ = fb.runClients(opt, &cluster.BaseStrategy{C: fb.c}, 1)
-	}})
-	p95 := baseIO.Percentile(95)
+	p95, baseIO := baselineP95(opt, addWorkloadMix, "fig11-base")
 	res.Series = append(res.Series, Series{Name: "Base", Sample: baseIO})
 	res.Notes = append(res.Notes, fmt.Sprintf("deadline/hedge trigger = Base p95 = %v", p95))
 
@@ -37,12 +31,12 @@ func Fig11(opt Options) *Result {
 		func(a *legArena) {
 			fh := a.newFleet(opt, fleetDisk, false, "fig11-hedged")
 			addWorkloadMix(fh, opt)
-			hedged, _ = fh.runClients(opt, &cluster.HedgedStrategy{C: fh.c, HedgeAfter: p95}, 1)
+			hedged = fh.runClients(opt, &cluster.HedgedStrategy{C: fh.c, HedgeAfter: p95}, 1, getLat).get
 		},
 		func(a *legArena) {
 			fm := a.newFleet(opt, fleetDisk, true, "fig11-mitt")
 			addWorkloadMix(fm, opt)
-			mitt, _ = fm.runClients(opt, &cluster.MittOSStrategy{C: fm.c, Deadline: p95}, 1)
+			mitt = fm.runClients(opt, &cluster.MittOSStrategy{C: fm.c, Deadline: p95}, 1, getLat).get
 		},
 	})
 	res.Series = append(res.Series, Series{Name: "Hedged", Sample: hedged})

@@ -27,15 +27,12 @@ func Fig12(opt Options) *Result {
 	}
 	regimes := []struct {
 		name  string
-		noise func(f *fleet) func()
+		noise func(f *fleet)
 	}{
-		{"NoBusy", func(f *fleet) func() { return func() {} }},
-		{"Bursty", func(f *fleet) func() {
-			f.addEC2DiskNoise(opt)
-			return f.stopNoise
-		}},
-		{"1B2F-1sec", func(f *fleet) func() { return addRotating(f, opt, time.Second) }},
-		{"1B2F-5sec", func(f *fleet) func() { return addRotating(f, opt, 5*time.Second) }},
+		{"NoBusy", func(f *fleet) {}},
+		{"Bursty", func(f *fleet) { f.addEC2DiskNoise(opt) }},
+		{"1B2F-1sec", func(f *fleet) { addRotating(f, opt, time.Second) }},
+		{"1B2F-5sec", func(f *fleet) { addRotating(f, opt, 5*time.Second) }},
 	}
 	// Stage 1: the four C3 regimes are independent legs.
 	outs := make([]*stats.Sample, len(regimes))
@@ -44,11 +41,8 @@ func Fig12(opt Options) *Result {
 		i, reg := i, reg
 		ls.add(func(a *legArena) {
 			f := a.newFleet(opt, fleetDisk, false, "fig12-"+reg.name)
-			stop := reg.noise(f)
-			strat := &cluster.C3Strategy{C: f.c}
-			io, _ := f.runClients(opt, strat, 1)
-			stop()
-			outs[i] = io
+			reg.noise(f)
+			outs[i] = f.runClients(opt, &cluster.C3Strategy{C: f.c}, 1, getLat).get
 		})
 	}
 	runLegs(opt.Workers, ls)
@@ -66,17 +60,17 @@ func Fig12(opt Options) *Result {
 	var mitt *stats.Sample
 	runLegs(opt.Workers, legs{func(a *legArena) {
 		fm := a.newFleet(opt, fleetDisk, true, "fig12-mitt")
-		stop := addRotating(fm, opt, time.Second)
-		mitt, _ = fm.runClients(opt, &cluster.MittOSStrategy{C: fm.c, Deadline: p95}, 1)
-		stop()
+		addRotating(fm, opt, time.Second)
+		mitt = fm.runClients(opt, &cluster.MittOSStrategy{C: fm.c, Deadline: p95}, 1, getLat).get
 	}})
 	res.Series = append(res.Series, Series{Name: "MittOS/1B2F-1sec", Sample: mitt})
 	res.Notes = append(res.Notes, fmt.Sprintf("MittOS deadline = NoBusy p95 = %v", p95))
 	return res
 }
 
-// addRotating attaches the 1-busy/(N−1)-free rotating severe contention.
-func addRotating(f *fleet, opt Options, period time.Duration) func() {
+// addRotating attaches the 1-busy/(N−1)-free rotating severe contention,
+// which runs on through the leg's drain.
+func addRotating(f *fleet, opt Options, period time.Duration) {
 	sinks := make([]blockio.Device, len(f.c.Nodes))
 	for i, n := range f.c.Nodes {
 		sinks[i] = n.NoiseSink()
@@ -84,5 +78,4 @@ func addRotating(f *fleet, opt Options, period time.Duration) func() {
 	rot := noise.NewRotating(f.eng, sinks, period, 6, 1<<20, 500<<30,
 		sim.NewRNG(opt.Seed, "fig12-rot"))
 	rot.Start()
-	return rot.Stop
 }

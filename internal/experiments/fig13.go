@@ -75,13 +75,8 @@ func Fig13(opt Options) *Fig13Result {
 	res.Series = append(res.Series, Series{Name: "MittCFQ", Sample: mittIO})
 	res.Timeline = timeline
 
-	tb := &stats.Table{Header: []string{"vs", "Avg", "p75", "p90", "p95", "p99"}}
-	row := stats.ReductionRow(mittIO, baseIO)
-	cells := []string{"Base"}
-	for _, v := range row {
-		cells = append(cells, stats.FormatPct(v))
-	}
-	tb.AddRow(cells...)
+	tb := reductionTable("vs")
+	addReductionRow(tb, "Base", mittIO, baseIO)
 	res.Tables = append(res.Tables, tb)
 	return res
 }

@@ -121,14 +121,8 @@ func Fig4(opt Fig4Options) *Result {
 				if variant != "NoNoise" {
 					panel.noise(f, noisyNode)
 				}
-				var strat cluster.Strategy
-				if variant == "MittOS" {
-					strat = &primaryFirstMitt{c: f.c, deadline: panel.deadline, primary: noisyNode}
-				} else {
-					strat = &primaryFirstBase{c: f.c, primary: noisyNode}
-				}
-				io, _ := f.runClients(fopt, strat, 1)
-				samples[pi*len(variants)+vi] = io
+				strat := primaryFirst(f.c, variant == "MittOS", panel.deadline, noisyNode)
+				samples[pi*len(variants)+vi] = f.runClients(fopt, strat, 1, getLat).get
 				snaps[pi*len(variants)+vi] = f.snapshot("fig4/" + panel.name + "/" + variant)
 			})
 		}
@@ -168,6 +162,16 @@ func evictFractionOfKeys(f *fleet, n *cluster.Node, keys int64, frac float64, rn
 			}
 		}
 	}
+}
+
+// primaryFirst returns the strategy that asks the designated (noisy) node
+// first: with mitt, under deadline and failing over on EBUSY; without,
+// waiting for it.
+func primaryFirst(c *cluster.Cluster, mitt bool, deadline time.Duration, primary int) cluster.Strategy {
+	if mitt {
+		return &primaryFirstMitt{c: c, deadline: deadline, primary: primary}
+	}
+	return &primaryFirstBase{c: c, primary: primary}
 }
 
 // primaryFirstBase always asks the designated (noisy) node first and waits.

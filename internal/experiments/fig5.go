@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"mittos/internal/cluster"
 	"mittos/internal/sim"
@@ -17,12 +16,11 @@ func Fig5(opt Options) *Result {
 	res := &Result{ID: "fig5", Title: "MittCFQ vs Hedged/Clone/AppTO with EC2 noise (§7.2)"}
 
 	// The p95 of the noisy baseline sets every knob, as in the paper.
-	p95, baseIO := baselineP95(opt, fleetDisk, true)
+	p95, baseIO := baselineP95(opt, (*fleet).addEC2DiskNoise, "baseline")
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("deadline/timeout/hedge trigger = noisy-Base p95 = %v", p95))
 	res.Series = append(res.Series, Series{Name: "Base", Sample: baseIO})
 
-	samples := map[string]*stats.Sample{"Base": baseIO}
 	runs := []struct {
 		name string
 		mitt bool
@@ -50,17 +48,20 @@ func Fig5(opt Options) *Result {
 		ls.add(func(a *legArena) {
 			f := a.newFleet(opt, fleetDisk, r.mitt, r.name)
 			f.addEC2DiskNoise(opt)
-			io, _ := f.runClients(opt, r.mk(f.c), 1)
-			outs[i] = io
+			outs[i] = f.runClients(opt, r.mk(f.c), 1, getLat).get
 		})
 	}
 	runLegs(opt.Workers, ls)
 	for i, r := range runs {
-		samples[r.name] = outs[i]
 		res.Series = append(res.Series, Series{Name: r.name, Sample: outs[i]})
 	}
 
-	res.Tables = append(res.Tables, reductionTable(samples["MittCFQ"], samples))
+	tb := reductionTable("vs")
+	mitt := res.FindSeries("MittCFQ").Sample
+	for _, name := range []string{"Hedged", "Clone", "AppTO", "Base"} {
+		addReductionRow(tb, name, mitt, res.FindSeries(name).Sample)
+	}
+	res.Tables = append(res.Tables, tb)
 	return res
 }
 
@@ -69,51 +70,10 @@ func Fig5(opt Options) *Result {
 // compared at SF ∈ {1, 2, 5, 10} (§7.3).
 func Fig6(opt Options) *Result {
 	res := &Result{ID: "fig6", Title: "Tail amplified by scale: MittCFQ vs Hedged (§7.3)"}
-	p95, _ := baselineP95(opt, fleetDisk, true)
+	p95, _ := baselineP95(opt, (*fleet).addEC2DiskNoise, "baseline")
 	res.Notes = append(res.Notes, fmt.Sprintf("deadline/hedge trigger = %v", p95))
-
-	tb := &stats.Table{Header: []string{"SF", "Avg", "p75", "p90", "p95", "p99"}}
 	// Stage 2: one leg per (scale factor, strategy) — eight hermetic runs.
-	sfs := []int{1, 2, 5, 10}
-	hedgedOut := make([]*stats.Sample, len(sfs))
-	mittOut := make([]*stats.Sample, len(sfs))
-	var ls legs
-	for i, sf := range sfs {
-		// A user request fans out to SF gets; spacing user requests SF×
-		// apart keeps the per-node IO load constant across panels (the
-		// paper's closed-loop YCSB clients self-limit the same way).
-		sopt := opt
-		sopt.Interval = opt.Interval * time.Duration(sf)
-		i, sf, sopt := i, sf, sopt
-		ls.add(func(a *legArena) {
-			fh := a.newFleet(sopt, fleetDisk, false, fmt.Sprintf("hedged-sf%d", sf))
-			fh.addEC2DiskNoise(sopt)
-			_, hedgedUser := fh.runClients(sopt, &cluster.HedgedStrategy{C: fh.c, HedgeAfter: p95}, sf)
-			hedgedOut[i] = hedgedUser
-		})
-		ls.add(func(a *legArena) {
-			fm := a.newFleet(sopt, fleetDisk, true, fmt.Sprintf("mitt-sf%d", sf))
-			fm.addEC2DiskNoise(sopt)
-			_, mittUser := fm.runClients(sopt, &cluster.MittOSStrategy{C: fm.c, Deadline: p95}, sf)
-			mittOut[i] = mittUser
-		})
-	}
-	runLegs(opt.Workers, ls)
-	for i, sf := range sfs {
-		res.Series = append(res.Series,
-			Series{Name: fmt.Sprintf("Hedged-SF%d", sf), Sample: hedgedOut[i]},
-			Series{Name: fmt.Sprintf("MittCFQ-SF%d", sf), Sample: mittOut[i]},
-		)
-		row := stats.ReductionRow(mittOut[i], hedgedOut[i])
-		cells := []string{fmt.Sprintf("%d", sf)}
-		for _, v := range row {
-			cells = append(cells, stats.FormatPct(v))
-		}
-		tb.AddRow(cells...)
-	}
-	res.Tables = append(res.Tables, tb)
-	res.Notes = append(res.Notes,
-		"table: % latency reduction of MittCFQ vs Hedged per scale factor")
+	sfSweep(res, opt, fleetDisk, (*fleet).addEC2DiskNoise, "", "MittCFQ", p95, p95)
 	return res
 }
 
@@ -123,7 +83,7 @@ func Fig6(opt Options) *Result {
 // (§7.7).
 func Fig10(opt Options) *Result {
 	res := &Result{ID: "fig10", Title: "Tail sensitivity to prediction error (§7.7)"}
-	p95, baseIO := baselineP95(opt, fleetDisk, true)
+	p95, baseIO := baselineP95(opt, (*fleet).addEC2DiskNoise, "baseline")
 	res.Notes = append(res.Notes, fmt.Sprintf("deadline = %v", p95))
 	res.Series = append(res.Series, Series{Name: "Base", Sample: baseIO})
 
@@ -149,8 +109,7 @@ func Fig10(opt Options) *Result {
 			for _, n := range f.c.Nodes {
 				n.Mitt.SetErrorInjection(pt.fn, pt.fp, sim.NewRNG(opt.Seed, "inj-"+pt.name))
 			}
-			io, _ := f.runClients(opt, &cluster.MittOSStrategy{C: f.c, Deadline: p95}, 1)
-			outs[i] = io
+			outs[i] = f.runClients(opt, &cluster.MittOSStrategy{C: f.c, Deadline: p95}, 1, getLat).get
 		})
 	}
 	runLegs(opt.Workers, ls)

@@ -23,9 +23,8 @@ func Fig7(opt Options) *Result {
 	var baseSnap *metrics.Snapshot
 	runLegs(opt.Workers, legs{func(a *legArena) {
 		fb := a.newFleet(opt, fleetDiskCache, false, "fig7-base")
-		warmFleet(fb, opt)
 		addCacheNoise(fb, opt)
-		baseIO, _ = fb.runClients(opt, &cluster.BaseStrategy{C: fb.c}, 1)
+		baseIO = fb.runClients(opt, &cluster.BaseStrategy{C: fb.c}, 1, getLat).get
 		baseSnap = fb.snapshot("fig7/Base")
 	}})
 	if baseSnap != nil {
@@ -36,68 +35,20 @@ func Fig7(opt Options) *Result {
 	res.Notes = append(res.Notes, fmt.Sprintf("hedge trigger = Base p95 = %v; deadline = %v",
 		hedgeAfter, deadline))
 
-	tb := &stats.Table{Header: []string{"SF", "Avg", "p75", "p90", "p95", "p99"}}
 	// Stage 2: one leg per (scale factor, strategy), as in Fig6.
-	sfs := []int{1, 2, 5, 10}
-	hedgedOut := make([]*stats.Sample, len(sfs))
-	mittOut := make([]*stats.Sample, len(sfs))
-	hedgedSnap := make([]*metrics.Snapshot, len(sfs))
-	mittSnap := make([]*metrics.Snapshot, len(sfs))
-	var ls legs
-	for i, sf := range sfs {
-		// Constant per-node IO load across scale factors (see Fig6).
-		sopt := opt
-		sopt.Interval = opt.Interval * time.Duration(sf)
-		i, sf, sopt := i, sf, sopt
-		ls.add(func(a *legArena) {
-			fh := a.newFleet(sopt, fleetDiskCache, false, fmt.Sprintf("fig7-hedged-sf%d", sf))
-			warmFleet(fh, sopt)
-			addCacheNoise(fh, sopt)
-			_, hedgedUser := fh.runClients(sopt, &cluster.HedgedStrategy{C: fh.c, HedgeAfter: hedgeAfter}, sf)
-			hedgedOut[i] = hedgedUser
-			hedgedSnap[i] = fh.snapshot(fmt.Sprintf("fig7/Hedged-SF%d", sf))
-		})
-		ls.add(func(a *legArena) {
-			fm := a.newFleet(sopt, fleetDiskCache, true, fmt.Sprintf("fig7-mitt-sf%d", sf))
-			warmFleet(fm, sopt)
-			addCacheNoise(fm, sopt)
-			_, mittUser := fm.runClients(sopt, &cluster.MittOSStrategy{C: fm.c, Deadline: deadline}, sf)
-			mittOut[i] = mittUser
-			mittSnap[i] = fm.snapshot(fmt.Sprintf("fig7/MittCache-SF%d", sf))
-		})
-	}
-	runLegs(opt.Workers, ls)
-	for i, sf := range sfs {
-		res.Series = append(res.Series,
-			Series{Name: fmt.Sprintf("Hedged-SF%d", sf), Sample: hedgedOut[i]},
-			Series{Name: fmt.Sprintf("MittCache-SF%d", sf), Sample: mittOut[i]},
-		)
-		if hedgedSnap[i] != nil {
-			res.Metrics = append(res.Metrics, hedgedSnap[i], mittSnap[i])
-		}
-		row := stats.ReductionRow(mittOut[i], hedgedOut[i])
-		cells := []string{fmt.Sprintf("%d", sf)}
-		for _, v := range row {
-			cells = append(cells, stats.FormatPct(v))
-		}
-		tb.AddRow(cells...)
-	}
-	res.Tables = append(res.Tables, tb)
-	res.Notes = append(res.Notes, "table: % latency reduction of MittCache vs Hedged per scale factor")
+	res.Metrics = append(res.Metrics,
+		sfSweep(res, opt, fleetDiskCache, addCacheNoise, "fig7-", "MittCache", hedgeAfter, deadline)...)
 	return res
 }
 
-// warmFleet loads every node's working set into its page cache.
-func warmFleet(f *fleet, opt Options) {
+// addCacheNoise loads every node's working set into its page cache, then
+// periodically swaps out a contiguous slab of each node's cached blocks —
+// the §7.4 manual-swapping methodology, with the slab size calibrated to
+// Figure 3c's cache-miss rates (~1.5%).
+func addCacheNoise(f *fleet, opt Options) {
 	for _, n := range f.c.Nodes {
 		warmNodeCache(n, opt.Keys)
 	}
-}
-
-// addCacheNoise periodically swaps out a contiguous slab of each node's
-// cached blocks — the §7.4 manual-swapping methodology, with the slab size
-// calibrated to Figure 3c's cache-miss rates (~1.5%).
-func addCacheNoise(f *fleet, opt Options) {
 	for i, n := range f.c.Nodes {
 		n := n
 		rng := sim.NewRNG(opt.Seed, fmt.Sprintf("fig7-noise-%d", i))

@@ -81,18 +81,9 @@ func Fig8(opt Fig8Options) *Result {
 	res.Series = append(res.Series, Series{Name: "Hedged", Sample: hedged})
 	res.Series = append(res.Series, Series{Name: "MittSSD", Sample: mitt})
 
-	tb := &stats.Table{Header: []string{"vs", "Avg", "p75", "p90", "p95", "p99"}}
-	for _, cmp := range []struct {
-		name  string
-		other *stats.Sample
-	}{{"Hedged", hedged}, {"Base", base}} {
-		row := stats.ReductionRow(mitt, cmp.other)
-		cells := []string{cmp.name}
-		for _, v := range row {
-			cells = append(cells, stats.FormatPct(v))
-		}
-		tb.AddRow(cells...)
-	}
+	tb := reductionTable("vs")
+	addReductionRow(tb, "Hedged", mitt, hedged)
+	addReductionRow(tb, "Base", mitt, base)
 	res.Tables = append(res.Tables, tb)
 	return res
 }
@@ -124,7 +115,7 @@ func fig8Run(a *legArena, opt Fig8Options, salt string,
 		SSDPool:     a.ssds,
 	}
 	c := cluster.NewCluster(eng, net, opt.Partitions, 3, tmpl, sim.NewRNG(opt.Seed, "fig8-nodes"))
-	f := &fleet{eng: eng, net: net, c: c, arena: a}
+	f := &fleet{eng: eng, c: c, arena: a}
 	a.fleets = append(a.fleets, f)
 	// SSD noise: write bursts on each partition (the §6 SSD distribution).
 	for i, n := range c.Nodes {
@@ -145,7 +136,7 @@ func fig8Run(a *legArena, opt Fig8Options, salt string,
 		cl.Start()
 		clients = append(clients, cl)
 	}
-	a.adoptClients(clients)
+	a.clients = append(a.clients, clients...)
 	eng.RunFor(opt.Duration)
 	for _, cl := range clients {
 		cl.Stop()

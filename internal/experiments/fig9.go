@@ -161,7 +161,8 @@ var fig9Layers = []fig9Layer{
 
 // fig9Replay replays a trace against one machine: a disk, or flash with the
 // trace re-rated for it. Pass 1 (no SLO) measures the p95 wait for the
-// deadline; pass 2 replays in shadow mode.
+// deadline; pass 2 replays in shadow mode, on pass 1's SSD when the machine
+// has one: the pool resets it to factory state with the FTL it grew.
 func fig9Replay(opt Fig9Options, tr *trace.Trace, l fig9Layer) (time.Duration, core.Accuracy) {
 	floor := time.Millisecond
 	if l.device == cluster.DeviceSSD {
@@ -169,22 +170,25 @@ func fig9Replay(opt Fig9Options, tr *trace.Trace, l fig9Layer) (time.Duration, c
 	} else {
 		tr = derateForDisk(tr, disk.DefaultConfig())
 	}
-	waits, _ := fig9Pass(opt, tr, 0, l)
+	var ssds ssd.Pool
+	waits, _ := fig9Pass(opt, tr, 0, l, &ssds)
 	deadline := waits.Percentile(95)
 	if deadline <= 0 {
 		deadline = floor
 	}
-	_, acc := fig9Pass(opt, tr, deadline, l)
+	_, acc := fig9Pass(opt, tr, deadline, l, &ssds)
 	return deadline, acc
 }
 
 // fig9Pass replays tr once with every read at deadline (0 = no SLO) and
-// returns the measured waits and the layer's shadow-mode accuracy.
-func fig9Pass(opt Fig9Options, tr *trace.Trace, deadline time.Duration, l fig9Layer) (*stats.Sample, core.Accuracy) {
+// returns the measured waits and the layer's shadow-mode accuracy. An SSD
+// comes from ssds and goes back to it once the replay is done.
+func fig9Pass(opt Fig9Options, tr *trace.Trace, deadline time.Duration, l fig9Layer,
+	ssds *ssd.Pool) (*stats.Sample, core.Accuracy) {
 	eng := sim.NewEngine()
 	cfg := cluster.NodeConfig{Device: l.device, DiskConfig: disk.DefaultConfig(),
 		SSDConfig: ssd.DefaultConfig(), Mitt: true, MittOptions: core.DefaultOptions(),
-		DiskProfile: sharedDiskProfile}
+		DiskProfile: sharedDiskProfile, SSDPool: ssds}
 	cfg.MittOptions.Shadow = true
 	cfg.MittOptions.Thop = 0 // single machine, no failover hop (§7.6)
 	if l.naive {
@@ -213,5 +217,8 @@ func fig9Pass(opt Fig9Options, tr *trace.Trace, deadline time.Duration, l fig9La
 	})
 	rep.Start()
 	eng.Run()
+	if st.SSD != nil {
+		ssds.Put(st.SSD)
+	}
 	return waits, st.Mitt.Accuracy()
 }

@@ -7,7 +7,6 @@ import (
 
 	"mittos/internal/cluster"
 	"mittos/internal/metrics"
-	"mittos/internal/sim"
 	"mittos/internal/stats"
 	"mittos/internal/ycsb"
 )
@@ -87,65 +86,13 @@ type SweepPoint struct {
 	Finished int `json:"finished"`
 }
 
-// sweepStratDiag pulls the overload diagnostics off a read strategy.
-func sweepStratDiag(s cluster.Strategy) (busy, wasted uint64) {
-	switch t := s.(type) {
-	case *cluster.TimeoutStrategy:
-		return 0, t.WastedIOs
-	case *cluster.HedgedStrategy:
-		return 0, t.WastedIOs
-	case *cluster.MittOSStrategy:
-		// No crashes in this experiment, so every failover is an EBUSY
-		// fast reject.
-		return t.Failovers, 0
-	}
-	return 0, 0
-}
-
 // sweepOut is one sweep leg's harvest.
 type sweepOut struct {
-	sample      *stats.Sample
-	finished    int
-	errors      int
-	met, missed int
+	legOut
 	inflightHWM int
 	busy        uint64
 	wasted      uint64
 	snap        *metrics.Snapshot
-}
-
-// startSweepClients launches opt.Clients clients under an explicit loop
-// config, all sharing one in-flight gauge. A non-nil put strategy makes the
-// clients write-only (the workload config must then draw only updates);
-// otherwise they are read-only and draw keys via NextKey. Streams are salted
-// per leg so every (strategy, rate) cell sees an identical workload.
-func (f *fleet) startSweepClients(opt Options, ccfg cluster.ClientConfig,
-	wcfg ycsb.Config, strat cluster.Strategy, ps cluster.PutStrategy,
-	salt string) ([]*cluster.Client, *cluster.InflightGauge) {
-	gauge := &cluster.InflightGauge{}
-	ccfg.Inflight = gauge
-	if f.arena != nil {
-		ccfg.Bufs = f.arena.bufs
-	}
-	var clients []*cluster.Client
-	for i := 0; i < opt.Clients; i++ {
-		if f.metrics != nil {
-			// Client-side verdicts have no home node; spread them round-
-			// robin so fleet totals are right and no counter hot-spots.
-			ccfg.Rec = f.metrics.Node(i % opt.Nodes)
-		}
-		wl := ycsb.New(wcfg, sim.NewRNG(opt.Seed, fmt.Sprintf("%s-wl-%d", salt, i)))
-		cl := cluster.NewClient(f.eng, ccfg, strat, wl, sim.NewRNG(opt.Seed, fmt.Sprintf("%s-cl-%d", salt, i)))
-		if ps != nil {
-			cl.SetPutStrategy(ps, false)
-		}
-		cl.Start()
-		clients = append(clients, cl)
-	}
-	if f.arena != nil {
-		f.arena.adoptClients(clients)
-	}
-	return clients, gauge
 }
 
 // putOnlyConfig is the write-path sweep workload: every op is an update of
@@ -197,58 +144,23 @@ func LoadSweep(opt Options) *Result {
 		Closed:      true,
 		ExpectedOps: int(opt.Duration / (2 * time.Millisecond)),
 	}
-	satRate := func(clients []*cluster.Client, d time.Duration) float64 {
-		finished := 0
-		for _, cl := range clients {
-			finished += cl.Finished()
+	// satRate runs one saturation probe, writing through BasePut when put
+	// is set, and returns its sustained completion rate.
+	satRate := func(a *legArena, salt string, wcfg ycsb.Config, put bool) float64 {
+		f := a.newFleet(satOpt, fleetDisk, false, salt)
+		f.addEC2DiskNoise(satOpt)
+		var ps cluster.PutStrategy
+		if put {
+			ps = &cluster.BasePut{C: f.c}
 		}
-		return float64(finished) / d.Seconds()
+		clients := f.startClients(satOpt, satCfg, wcfg, &cluster.BaseStrategy{C: f.c}, ps, false, salt+"-")
+		a.run(opt.Duration, legDrain)
+		return float64(harvest(clients, 0).finished) / opt.Duration.Seconds()
 	}
 	runLegs(opt.Workers, legs{
-		func(a *legArena) {
-			f := a.newFleet(opt, fleetDisk, false, "lsw-knobs")
-			f.addEC2DiskNoise(opt)
-			strat := &cluster.BaseStrategy{C: f.c}
-			ps := &cluster.BasePut{C: f.c}
-			clients := f.startMixedClients(opt, strat, ps, ycsbMixWorkloads[0].config(opt.Keys), false)
-			f.eng.RunFor(opt.Duration)
-			for _, cl := range clients {
-				cl.Stop()
-			}
-			f.stopNoise()
-			f.eng.RunFor(5 * time.Second)
-			io, _ := collectClients(clients)
-			puts := collectPuts(clients)
-			getP95 = io.Percentile(95)
-			putP95 = puts.Percentile(95)
-		},
-		func(a *legArena) {
-			f := a.newFleet(satOpt, fleetDisk, false, "lsw-satget")
-			f.addEC2DiskNoise(satOpt)
-			clients, _ := f.startSweepClients(satOpt, satCfg,
-				ycsb.DefaultConfig(opt.Keys), &cluster.BaseStrategy{C: f.c}, nil, "lsw-satget")
-			f.eng.RunFor(opt.Duration)
-			for _, cl := range clients {
-				cl.Stop()
-			}
-			f.stopNoise()
-			f.eng.RunFor(5 * time.Second)
-			satGet = satRate(clients, opt.Duration)
-		},
-		func(a *legArena) {
-			f := a.newFleet(satOpt, fleetDisk, false, "lsw-satput")
-			f.addEC2DiskNoise(satOpt)
-			clients, _ := f.startSweepClients(satOpt, satCfg,
-				putOnlyConfig(opt.Keys), &cluster.BaseStrategy{C: f.c},
-				&cluster.BasePut{C: f.c}, "lsw-satput")
-			f.eng.RunFor(opt.Duration)
-			for _, cl := range clients {
-				cl.Stop()
-			}
-			f.stopNoise()
-			f.eng.RunFor(5 * time.Second)
-			satPut = satRate(clients, opt.Duration)
-		},
+		func(a *legArena) { getP95, putP95 = rwKnobs(a, opt, "lsw-knobs") },
+		func(a *legArena) { satGet = satRate(a, "lsw-satget", ycsb.DefaultConfig(opt.Keys), false) },
+		func(a *legArena) { satPut = satRate(a, "lsw-satput", putOnlyConfig(opt.Keys), true) },
 	})
 	// The user-level SLO the attainment columns count against is 2× the
 	// OS-level deadline: the paper's guidance (§4) is to hand the OS a
@@ -263,27 +175,7 @@ func LoadSweep(opt Options) *Result {
 		"measured saturation (closed loop, %d clients, ~zero think): gets %.0f ops/s, durable puts %.0f ops/s; offered load = rate × saturation over %d open-loop Poisson clients",
 		satOpt.Clients, satGet, satPut, opt.Clients))
 
-	strategies := []struct {
-		name string
-		mitt bool
-		mk   func(c *cluster.Cluster) (cluster.Strategy, cluster.PutStrategy)
-	}{
-		{"Base", false, func(c *cluster.Cluster) (cluster.Strategy, cluster.PutStrategy) {
-			return &cluster.BaseStrategy{C: c}, &cluster.BasePut{C: c}
-		}},
-		{"AppTO", false, func(c *cluster.Cluster) (cluster.Strategy, cluster.PutStrategy) {
-			return &cluster.TimeoutStrategy{C: c, TO: getP95},
-				&cluster.TimeoutPut{C: c, TO: putP95}
-		}},
-		{"Hedged", false, func(c *cluster.Cluster) (cluster.Strategy, cluster.PutStrategy) {
-			return &cluster.HedgedStrategy{C: c, HedgeAfter: getP95},
-				&cluster.HedgedPut{C: c, HedgeAfter: putP95}
-		}},
-		{"MittOS", true, func(c *cluster.Cluster) (cluster.Strategy, cluster.PutStrategy) {
-			return &cluster.MittOSStrategy{C: c, Deadline: getP95, UseWaitHint: true},
-				&cluster.MittOSPut{C: c, Deadline: putP95, UseWaitHint: true}
-		}},
-	}
+	strategies := rwStrategies(getP95, putP95)
 	paths := []struct {
 		name string
 		sat  *float64
@@ -326,6 +218,7 @@ func LoadSweep(opt Options) *Result {
 						Arrival:     cluster.ArrivalPoisson,
 						ScaleFactor: 1,
 						SLO:         *path.slo,
+						Inflight:    &cluster.InflightGauge{},
 						ExpectedOps: sweepPresize(opt.Duration, iv),
 					}
 					wcfg := ycsb.DefaultConfig(opt.Keys)
@@ -334,26 +227,19 @@ func LoadSweep(opt Options) *Result {
 					} else {
 						ps = nil
 					}
-					clients, gauge := f.startSweepClients(opt, ccfg, wcfg, strat, ps, salt)
-					f.eng.RunFor(opt.Duration)
-					for _, cl := range clients {
-						cl.Stop()
-					}
-					f.stopNoise()
-					f.eng.RunFor(sweepDrain)
-					_, user := collectClients(clients)
-					o := sweepOut{sample: user, inflightHWM: gauge.Max}
-					for _, cl := range clients {
-						o.finished += cl.Finished()
-						o.errors += cl.Errors()
-						o.met += cl.SLOMet()
-						o.missed += cl.SLOMissed()
-					}
+					clients := f.startClients(opt, ccfg, wcfg, strat, ps, false, salt+"-")
+					a.run(opt.Duration, sweepDrain)
+					o := sweepOut{legOut: harvest(clients, userLat), inflightHWM: ccfg.Inflight.Max}
 					if pi == 1 {
 						pc := putCounters(ps)
 						o.busy, o.wasted = pc.Busy, pc.WastedWrites
 					} else {
-						o.busy, o.wasted = sweepStratDiag(strat)
+						o.wasted = wastedIOs(strat)
+						if m, ok := strat.(*cluster.MittOSStrategy); ok {
+							// No crashes in this experiment, so every
+							// failover is an EBUSY fast reject.
+							o.busy = m.Failovers
+						}
 					}
 					o.snap = f.snapshot("loadsweep/" + path.name + "/" + st.name + fmt.Sprintf("/%.2fx", m))
 					outs[i] = o
@@ -395,9 +281,9 @@ func LoadSweep(opt Options) *Result {
 					fmt.Sprintf("%.0f", float64(o.finished)/opt.Duration.Seconds()),
 					fmt.Sprintf("%.0f", float64(o.met)/opt.Duration.Seconds()),
 					stats.FormatPct(attain),
-					stats.FormatDuration(o.sample.Percentile(50)),
-					stats.FormatDuration(o.sample.Percentile(95)),
-					stats.FormatDuration(o.sample.Percentile(99)),
+					stats.FormatDuration(o.user.Percentile(50)),
+					stats.FormatDuration(o.user.Percentile(95)),
+					stats.FormatDuration(o.user.Percentile(99)),
 					fmt.Sprint(o.inflightHWM),
 					fmt.Sprint(o.busy),
 					fmt.Sprint(o.wasted),
@@ -406,7 +292,7 @@ func LoadSweep(opt Options) *Result {
 				if m == knee {
 					res.Series = append(res.Series, Series{
 						Name:   fmt.Sprintf("%s/%s@%.2fx", path.name, st.name, m),
-						Sample: o.sample,
+						Sample: o.user,
 					})
 				}
 				if o.snap != nil {
@@ -420,9 +306,9 @@ func LoadSweep(opt Options) *Result {
 					DonePerSec:    float64(o.finished) / opt.Duration.Seconds(),
 					GoodputPerSec: float64(o.met) / opt.Duration.Seconds(),
 					AttainPct:     attain,
-					P50Ns:         int64(o.sample.Percentile(50)),
-					P95Ns:         int64(o.sample.Percentile(95)),
-					P99Ns:         int64(o.sample.Percentile(99)),
+					P50Ns:         int64(o.user.Percentile(50)),
+					P95Ns:         int64(o.user.Percentile(95)),
+					P99Ns:         int64(o.user.Percentile(99)),
 					InflightHWM:   o.inflightHWM,
 					Busy:          o.busy,
 					Wasted:        o.wasted,

@@ -137,37 +137,21 @@ func AllInOne(opt Options) *Result {
 	// are collected together: the three Mitt layers genuinely co-exist.
 	// Each variant is one leg: the tiers must share an engine, but the two
 	// variants are independent of each other.
-	type tierResult struct{ p95, p99 [2]time.Duration }
-	results := make([]tierResult, len(tiers))
 	samples := make([]*stats.Sample, 2*len(tiers))
 	var ls legs
 	for vi, mitt := range []bool{false, true} {
 		vi, mitt := vi, mitt
 		ls.add(func(a *legArena) {
-			var allClients [][]*cluster.Client
-			for _, ti := range tiers {
-				f := newFleetOn(a, a.eng, topt, ti.kind, mitt, "allinone-"+ti.name)
+			tierClients := make([][]*cluster.Client, len(tiers))
+			for i, ti := range tiers {
+				f := a.newFleet(topt, ti.kind, mitt, "allinone-"+ti.name)
 				ti.noisy(f)
-				var strat cluster.Strategy
-				if mitt {
-					strat = &primaryFirstMitt{c: f.c, deadline: ti.deadline, primary: 0}
-				} else {
-					strat = &primaryFirstBase{c: f.c, primary: 0}
-				}
-				allClients = append(allClients, f.startClients(topt, strat, 1))
+				tierClients[i] = f.startClients(topt, topt.clientConfig(1), ycsb.DefaultConfig(topt.Keys),
+					primaryFirst(f.c, mitt, ti.deadline, 0), nil, false, "")
 			}
-			a.eng.RunFor(topt.Duration)
-			for _, cls := range allClients {
-				for _, cl := range cls {
-					cl.Stop()
-				}
-			}
-			a.eng.RunFor(2 * time.Second)
-			for i, cls := range allClients {
-				io, _ := collectClients(cls)
-				samples[vi*len(tiers)+i] = io
-				results[i].p95[vi] = io.Percentile(95)
-				results[i].p99[vi] = io.Percentile(99)
+			a.run(topt.Duration, 2*time.Second)
+			for i, cls := range tierClients {
+				samples[vi*len(tiers)+i] = harvest(cls, getLat).get
 			}
 		})
 	}
@@ -183,9 +167,10 @@ func AllInOne(opt Options) *Result {
 	}
 	tb := &stats.Table{Header: []string{"user", "Base p95", "Mitt p95", "Base p99", "Mitt p99"}}
 	for i, ti := range tiers {
+		base, mitt := samples[i], samples[len(tiers)+i]
 		tb.AddRow(ti.name,
-			stats.FormatDuration(results[i].p95[0]), stats.FormatDuration(results[i].p95[1]),
-			stats.FormatDuration(results[i].p99[0]), stats.FormatDuration(results[i].p99[1]))
+			stats.FormatDuration(base.Percentile(95)), stats.FormatDuration(mitt.Percentile(95)),
+			stats.FormatDuration(base.Percentile(99)), stats.FormatDuration(mitt.Percentile(99)))
 	}
 	res.Tables = append(res.Tables, tb)
 	res.Notes = append(res.Notes,

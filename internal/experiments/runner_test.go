@@ -87,6 +87,10 @@ func TestConvertedExperimentsParallelDeterminism(t *testing.T) {
 		{"fig11", func(o Options) string { return Fig11(o).String() }},
 		{"fig12", func(o Options) string { return Fig12(o).String() }},
 		{"fig13", func(o Options) string { return Fig13(o).String() }},
+		{"failslow", func(o Options) string { return Failslow(o).String() }},
+		{"ycsbmix", func(o Options) string { return YCSBMix(o).String() }},
+		{"allinone", func(o Options) string { return AllInOne(o).String() }},
+		{"writes", func(o Options) string { return Writes(o).String() }},
 	}
 	for _, run := range runs {
 		run := run

@@ -131,17 +131,13 @@ func TestPutSpanInvariants(t *testing.T) {
 			opt.Duration = 4 * time.Second
 			opt.Metrics = true
 			opt.TraceIOs = -1
-			f := newFleet(opt, fleetDisk, true, "putspans-"+wl.name)
+			a := newLegArena()
+			f := a.newFleet(opt, fleetDisk, true, "putspans-"+wl.name)
 			f.addEC2DiskNoise(opt)
 			strat := &cluster.MittOSStrategy{C: f.c, Deadline: 20 * time.Millisecond, UseWaitHint: true}
 			ps := &cluster.MittOSPut{C: f.c, Deadline: 5 * time.Millisecond, UseWaitHint: true}
-			clients := f.startMixedClients(opt, strat, ps, wl.config(opt.Keys), wl.rmw)
-			f.eng.RunFor(opt.Duration)
-			for _, cl := range clients {
-				cl.Stop()
-			}
-			f.stopNoise()
-			f.eng.RunFor(5 * time.Second)
+			f.startClients(opt, opt.clientConfig(1), wl.config(opt.Keys), strat, ps, wl.rmw, "ymix-")
+			a.run(opt.Duration, legDrain)
 
 			checkSpanInvariants(t, f.snapshot("putspans/"+wl.name))
 

@@ -6,7 +6,6 @@ import (
 
 	"mittos/internal/cluster"
 	"mittos/internal/metrics"
-	"mittos/internal/sim"
 	"mittos/internal/stats"
 	"mittos/internal/ycsb"
 )
@@ -49,89 +48,20 @@ func putCounters(ps cluster.PutStrategy) *cluster.PutCounters {
 	return nil
 }
 
-// startMixedClients launches opt.Clients mixed read/write YCSB clients: the
-// workload mix decides per op whether the read strategy or the put strategy
-// fires (rmw chains both). Streams are salted "ymix" so the mixes are
-// identical across every strategy leg but uncorrelated with the read-only
-// experiments.
-func (f *fleet) startMixedClients(opt Options, strat cluster.Strategy,
-	ps cluster.PutStrategy, wcfg ycsb.Config, rmw bool) []*cluster.Client {
-	ccfg := cluster.DefaultClientConfig()
-	ccfg.Interval = opt.Interval
-	ccfg.ScaleFactor = 1
-	if opt.Interval > 0 {
-		ccfg.ExpectedOps = int(opt.Duration/opt.Interval) + 1
-	}
-	if f.arena != nil {
-		ccfg.Bufs = f.arena.bufs
-	}
-	var clients []*cluster.Client
-	for i := 0; i < opt.Clients; i++ {
-		wl := ycsb.New(wcfg, sim.NewRNG(opt.Seed, fmt.Sprintf("ymix-wl-%d", i)))
-		cl := cluster.NewClient(f.eng, ccfg, strat, wl, sim.NewRNG(opt.Seed, fmt.Sprintf("ymix-cl-%d", i)))
-		cl.SetPutStrategy(ps, rmw)
-		cl.Start()
-		clients = append(clients, cl)
-	}
-	if f.arena != nil {
-		f.arena.adoptClients(clients)
-	}
-	return clients
+// rwStrategy is one row of the read/write strategy matrix: a read
+// strategy and its write-side mirror.
+type rwStrategy struct {
+	name string
+	mitt bool
+	mk   func(c *cluster.Cluster) (cluster.Strategy, cluster.PutStrategy)
 }
 
-// collectPuts merges the clients' put samples, pre-sized to the exact total.
-func collectPuts(clients []*cluster.Client) *stats.Sample {
-	n := 0
-	for _, cl := range clients {
-		n += cl.PutLatencies.N()
-	}
-	out := stats.NewSample(n)
-	for _, cl := range clients {
-		out.Merge(cl.PutLatencies)
-	}
-	return out
-}
-
-// YCSBMix drives YCSB A/B/F read/write mixes through the full read+write
-// strategy matrix under EC2 disk noise: every get goes through the read
-// strategy, every put through its write-side mirror (quorum-replicated,
-// W = majority), and MittOS legs carry the deadline SLO on both paths. The
-// put-side comparison is the experiment's point: a contended replica holds
-// Base's quorum hostage for the full queue wait, AppTO/Hedged pay for ring
-// handoffs with duplicated durable writes, while MittOSPut hears EBUSY from
-// the WAL admission in one RTT and reassembles the quorum elsewhere.
-func YCSBMix(opt Options) *Result {
-	res := &Result{ID: "ycsbmix", Title: "YCSB A/B/F mixes: SLO-aware writes vs Base/AppTO/Hedged (§5, §7.2)"}
-
-	// Stage 1: a noisy Base/BasePut workload-A run sets the knobs — read
-	// deadline/timeout/hedge = get p95, write deadline/timeout/hedge =
-	// put p95 (the §7.2 "use the p95 latency" rule applied per path).
-	var getP95, putP95 time.Duration
-	runLegs(opt.Workers, legs{func(a *legArena) {
-		f := a.newFleet(opt, fleetDisk, false, "ymix-baseline")
-		f.addEC2DiskNoise(opt)
-		strat := &cluster.BaseStrategy{C: f.c}
-		ps := &cluster.BasePut{C: f.c}
-		clients := f.startMixedClients(opt, strat, ps, ycsbMixWorkloads[0].config(opt.Keys), false)
-		f.eng.RunFor(opt.Duration)
-		for _, cl := range clients {
-			cl.Stop()
-		}
-		f.stopNoise()
-		f.eng.RunFor(5 * time.Second)
-		io, _ := collectClients(clients)
-		puts := collectPuts(clients)
-		getP95 = io.Percentile(95)
-		putP95 = puts.Percentile(95)
-	}})
-	res.Notes = append(res.Notes, fmt.Sprintf(
-		"knobs from noisy Base baseline: get p95 = %v, put p95 = %v", getP95, putP95))
-
-	strategies := []struct {
-		name string
-		mitt bool
-		mk   func(c *cluster.Cluster) (cluster.Strategy, cluster.PutStrategy)
-	}{
+// rwStrategies is the matrix ycsbmix and loadsweep drive: Base, AppTO,
+// Hedged, and MittOS on both paths, with getP95 and putP95 as each path's
+// deadline, timeout, and hedge trigger. MittOS carries the deadline SLO on
+// both paths.
+func rwStrategies(getP95, putP95 time.Duration) []rwStrategy {
+	return []rwStrategy{
 		{"Base", false, func(c *cluster.Cluster) (cluster.Strategy, cluster.PutStrategy) {
 			return &cluster.BaseStrategy{C: c}, &cluster.BasePut{C: c}
 		}},
@@ -148,16 +78,49 @@ func YCSBMix(opt Options) *Result {
 				&cluster.MittOSPut{C: c, Deadline: putP95, UseWaitHint: true}
 		}},
 	}
+}
 
-	type legOut struct {
-		io, puts *stats.Sample
-		finished int
-		errors   int
+// rwKnobs is the knob leg of the read/write experiments: a noisy Base/
+// BasePut workload-A run on a fleet salted salt, whose get and put p95 are
+// the read and write deadline/timeout/hedge knobs (the §7.2 "use the p95
+// latency" rule applied per path). Its clients draw the "ymix-" streams,
+// like every ycsbmix leg.
+func rwKnobs(a *legArena, opt Options, salt string) (getP95, putP95 time.Duration) {
+	f := a.newFleet(opt, fleetDisk, false, salt)
+	f.addEC2DiskNoise(opt)
+	clients := f.startClients(opt, opt.clientConfig(1), ycsbMixWorkloads[0].config(opt.Keys),
+		&cluster.BaseStrategy{C: f.c}, &cluster.BasePut{C: f.c}, false, "ymix-")
+	a.run(opt.Duration, legDrain)
+	o := harvest(clients, getLat|putLat)
+	return o.get.Percentile(95), o.put.Percentile(95)
+}
+
+// YCSBMix drives YCSB A/B/F read/write mixes through the full read+write
+// strategy matrix under EC2 disk noise: every get goes through the read
+// strategy, every put through its write-side mirror (quorum-replicated,
+// W = majority), and MittOS legs carry the deadline SLO on both paths. The
+// put-side comparison is the experiment's point: a contended replica holds
+// Base's quorum hostage for the full queue wait, AppTO/Hedged pay for ring
+// handoffs with duplicated durable writes, while MittOSPut hears EBUSY from
+// the WAL admission in one RTT and reassembles the quorum elsewhere.
+func YCSBMix(opt Options) *Result {
+	res := &Result{ID: "ycsbmix", Title: "YCSB A/B/F mixes: SLO-aware writes vs Base/AppTO/Hedged (§5, §7.2)"}
+
+	// Stage 1: the knob leg.
+	var getP95, putP95 time.Duration
+	runLegs(opt.Workers, legs{func(a *legArena) {
+		getP95, putP95 = rwKnobs(a, opt, "ymix-baseline")
+	}})
+	res.Notes = append(res.Notes, fmt.Sprintf(
+		"knobs from noisy Base baseline: get p95 = %v, put p95 = %v", getP95, putP95))
+
+	strategies := rwStrategies(getP95, putP95)
+	type mixOut struct {
+		legOut
 		counters cluster.PutCounters
 		snap     *metrics.Snapshot
 	}
-	nLegs := len(ycsbMixWorkloads) * len(strategies)
-	outs := make([]legOut, nLegs)
+	outs := make([]mixOut, len(ycsbMixWorkloads)*len(strategies))
 	var ls legs
 	for wi, wl := range ycsbMixWorkloads {
 		for si, st := range strategies {
@@ -166,24 +129,13 @@ func YCSBMix(opt Options) *Result {
 				f := a.newFleet(opt, fleetDisk, st.mitt, "ymix-"+wl.name+"-"+st.name)
 				f.addEC2DiskNoise(opt)
 				strat, ps := st.mk(f.c)
-				clients := f.startMixedClients(opt, strat, ps, wl.config(opt.Keys), wl.rmw)
-				f.eng.RunFor(opt.Duration)
-				for _, cl := range clients {
-					cl.Stop()
+				clients := f.startClients(opt, opt.clientConfig(1), wl.config(opt.Keys), strat, ps, wl.rmw, "ymix-")
+				a.run(opt.Duration, legDrain)
+				outs[i] = mixOut{
+					legOut:   harvest(clients, getLat|putLat),
+					counters: *putCounters(ps),
+					snap:     f.snapshot("ycsbmix/" + wl.name + "/" + st.name),
 				}
-				f.stopNoise()
-				f.eng.RunFor(5 * time.Second) // drain in-flight quorums
-				io, _ := collectClients(clients)
-				o := legOut{io: io, puts: collectPuts(clients)}
-				if pc := putCounters(ps); pc != nil {
-					o.counters = *pc
-				}
-				for _, cl := range clients {
-					o.finished += cl.Finished()
-					o.errors += cl.Errors()
-				}
-				o.snap = f.snapshot("ycsbmix/" + wl.name + "/" + st.name)
-				outs[i] = o
 			})
 		}
 	}
@@ -194,19 +146,15 @@ func YCSBMix(opt Options) *Result {
 			"get p95", "get p99", "put p95", "put p99", "copies", "wasted wr"}}
 		for si, st := range strategies {
 			o := outs[wi*len(strategies)+si]
-			res.Series = append(res.Series, Series{Name: wl.name + "/" + st.name + " put", Sample: o.puts})
-			errPct := 0.0
-			if o.finished > 0 {
-				errPct = 100 * float64(o.errors) / float64(o.finished)
-			}
+			res.Series = append(res.Series, Series{Name: wl.name + "/" + st.name + " put", Sample: o.put})
 			tb.AddRow(st.name,
 				fmt.Sprint(o.finished),
 				fmt.Sprint(o.errors),
-				fmt.Sprintf("%.2f%%", errPct),
-				stats.FormatDuration(o.io.Percentile(95)),
-				stats.FormatDuration(o.io.Percentile(99)),
-				stats.FormatDuration(o.puts.Percentile(95)),
-				stats.FormatDuration(o.puts.Percentile(99)),
+				o.errPct(),
+				stats.FormatDuration(o.get.Percentile(95)),
+				stats.FormatDuration(o.get.Percentile(99)),
+				stats.FormatDuration(o.put.Percentile(95)),
+				stats.FormatDuration(o.put.Percentile(99)),
 				fmt.Sprint(o.counters.CopiesSent),
 				fmt.Sprint(o.counters.WastedWrites),
 			)

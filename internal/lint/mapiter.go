@@ -36,9 +36,13 @@ type Finding struct {
 // //mapiter:sorted. Test files are skipped: their iteration order cannot
 // reach simulation outputs.
 func CheckMapIter(dirs []string) ([]Finding, error) {
+	// One file set and one source importer serve every directory, so each
+	// imported package, std included, is type-checked once per call.
+	fset := token.NewFileSet()
+	imp := importer.ForCompiler(fset, "source", nil)
 	var out []Finding
 	for _, dir := range dirs {
-		fs, err := checkDir(dir)
+		fs, err := checkDir(fset, imp, dir)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", dir, err)
 		}
@@ -48,8 +52,7 @@ func CheckMapIter(dirs []string) ([]Finding, error) {
 	return out, nil
 }
 
-func checkDir(dir string) ([]Finding, error) {
-	fset := token.NewFileSet()
+func checkDir(fset *token.FileSet, imp types.Importer, dir string) ([]Finding, error) {
 	pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
 	}, parser.ParseComments)
@@ -68,7 +71,7 @@ func checkDir(dir string) ([]Finding, error) {
 		// are tolerated: a partially-typed package still yields the Types
 		// entries the range check needs.
 		conf := types.Config{
-			Importer:         importer.ForCompiler(fset, "source", nil),
+			Importer:         imp,
 			Error:            func(error) {},
 			IgnoreFuncBodies: false,
 		}

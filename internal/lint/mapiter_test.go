@@ -1,19 +1,31 @@
 package lint
 
-import "testing"
+import (
+	"os"
+	"path/filepath"
+	"testing"
+)
 
 // TestNoMapIterationOnSimulationPaths is the determinism sweep: the
-// packages whose control flow reaches simulation state must not range over
-// maps without an explicit //mapiter:sorted justification. A failure here
-// means a code path whose behavior can differ between two runs of the same
-// seed.
+// simulation packages — every internal package but this one — must not
+// range over maps without an explicit //mapiter:sorted justification. A
+// failure here means a code path whose behavior can differ between two runs
+// of the same seed.
 func TestNoMapIterationOnSimulationPaths(t *testing.T) {
-	findings, err := CheckMapIter([]string{
-		"../core",
-		"../iosched",
-		"../cluster",
-		"../kv",
-	})
+	entries, err := os.ReadDir("..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dirs []string
+	for _, e := range entries {
+		if e.IsDir() && e.Name() != "lint" {
+			dirs = append(dirs, filepath.Join("..", e.Name()))
+		}
+	}
+	if len(dirs) < 20 {
+		t.Fatalf("found %d simulation packages, want at least 20: %v", len(dirs), dirs)
+	}
+	findings, err := CheckMapIter(dirs)
 	if err != nil {
 		t.Fatal(err)
 	}

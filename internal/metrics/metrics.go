@@ -361,7 +361,6 @@ func (r *Recorder) SchedDrop(res Resource, req *blockio.Request) {
 	s.gauges[res].Cur--
 	if sp := s.spanIdx[req]; sp != nil {
 		sp.terminal(s, "revoked")
-		delete(s.spanIdx, req)
 	}
 }
 
@@ -387,7 +386,6 @@ func (r *Recorder) DevDrop(res Resource, req *blockio.Request) {
 	s.gauges[res].Cur--
 	if sp := s.spanIdx[req]; sp != nil {
 		sp.terminal(s, "revoked")
-		delete(s.spanIdx, req)
 	}
 }
 

@@ -84,9 +84,15 @@ func (r *Recorder) IOBegin(req *blockio.Request) {
 		return
 	}
 	if sp := s.spanIdx[req]; sp != nil {
-		s.violations = append(s.violations, fmt.Sprintf(
-			"io#%d node=%d: submitted twice at the boundary", req.ID, r.node))
-		return
+		if sp.Terminals == 0 {
+			s.violations = append(s.violations, fmt.Sprintf(
+				"io#%d node=%d: submitted twice at the boundary", req.ID, r.node))
+			return
+		}
+		// A pooled request recycles at its terminal, so the same pointer
+		// is a fresh IO now. Its old span leaves the index before the cap
+		// check: an untraced reuse must not find it.
+		delete(s.spanIdx, req)
 	}
 	if s.traceMax >= 0 && len(s.spans) >= s.traceMax {
 		s.spansDropped++
@@ -116,14 +122,9 @@ func (r *Recorder) IOEnd(req *blockio.Request, err error, busy bool) {
 	}
 	s := r.set
 	now := s.eng.Now()
-	var sp *Span
-	if s.spanIdx != nil {
-		sp = s.spanIdx[req]
-		// The span stays in s.spans; only the request-pointer index entry
-		// goes, because a pooled request recycles at its terminal and the
-		// same pointer will be a fresh IO on its next submission.
-		delete(s.spanIdx, req)
-	}
+	// The span stays indexed until the request's next IOBegin, so a second
+	// terminal still finds it and is flagged.
+	sp := s.spanIdx[req]
 	switch {
 	case err == nil:
 		s.counters[RNode][CCompleted]++
