@@ -226,10 +226,83 @@ func TestAllocBudgets(t *testing.T) {
 			t.Fatalf("EvictRange+Warm allocates %.1f objects per cycle; budget is 0", avg)
 		}
 	})
+	// cacheConfig is a page cache of n pages on a private slab and request
+	// pool.
+	cacheConfig := func(n int, slab *oscache.PageSlab) oscache.Config {
+		cfg := oscache.DefaultConfig()
+		cfg.CapacityPages, cfg.Slab, cfg.Reqs = n, slab, &blockio.Pool{}
+		return cfg
+	}
+	cacheDev := disk.New(NewEngine(), disk.DefaultConfig(), sim.NewRNG(9, "alloc-cache-dev"))
+	t.Run("CacheNew", func(t *testing.T) {
+		// A cache gets its page table at its first insert, so building one
+		// allocates only the Cache: a leg's caches that are never filled hold
+		// no table, and the rest can take a parked one.
+		eng := NewEngine()
+		cfg := cacheConfig(1024, &oscache.PageSlab{})
+		var c *oscache.Cache
+		if avg := testing.AllocsPerRun(100, func() { c = oscache.New(eng, cfg, cacheDev) }); avg != 1 {
+			t.Fatalf("oscache.New allocates %.1f objects; budget is exactly 1 (the Cache)", avg)
+		}
+		runtime.KeepAlive(c)
+	})
+	t.Run("CacheWarmSized", func(t *testing.T) {
+		// fig3 warms 131,072 pages into each empty cache. Warm sizes the
+		// table for its range before it inserts, so the warm-up allocates
+		// the objects of one map made with room for n entries, and never
+		// regrows the table. The page structs come from the slab, warmed by
+		// AllocsPerRun's first run; DropTables leaves each cache to make its
+		// own table.
+		const n = 20_000
+		eng := NewEngine()
+		slab := &oscache.PageSlab{}
+		cfg := cacheConfig(n, slab)
+		caches := make([]*oscache.Cache, 0, 21)
+		for i := 0; i < cap(caches); i++ {
+			caches = append(caches, oscache.New(eng, cfg, cacheDev))
+		}
+		warm := testing.AllocsPerRun(20, func() {
+			c := caches[0]
+			caches = caches[1:]
+			c.Warm(0, n<<12)
+			if c.ResidentPages() != n {
+				t.Fatalf("%d pages resident after warming %d", c.ResidentPages(), n)
+			}
+			c.Reclaim()
+			slab.DropTables()
+		})
+		// A *struct{} value lays out as a *page one.
+		table := testing.AllocsPerRun(20, func() { allocSinkTable = make(map[int64]*struct{}, n) })
+		if warm != table {
+			t.Fatalf("warming %d pages into an empty cache allocates %.0f objects; a table made for %d entries is %.0f",
+				n, warm, n, table)
+		}
+	})
+	t.Run("CacheTableReuse", func(t *testing.T) {
+		// An arena reclaims a finished leg's caches into the shared slab,
+		// page structs and emptied page tables both, so the next leg's cache
+		// warming the same range allocates nothing.
+		eng := NewEngine()
+		cfg := cacheConfig(1024, &oscache.PageSlab{})
+		const span = 512 << 12
+		caches := make([]*oscache.Cache, 0, 101) // AllocsPerRun's warm-up run, then 100
+		for i := 0; i < cap(caches); i++ {
+			caches = append(caches, oscache.New(eng, cfg, cacheDev))
+		}
+		avg := testing.AllocsPerRun(100, func() {
+			caches[0].Warm(0, span)
+			caches[0].Reclaim()
+			caches = caches[1:]
+		})
+		if avg != 0 {
+			t.Fatalf("a cache warming its reclaimed predecessor's range allocates %.1f objects; budget is 0", avg)
+		}
+	})
 	t.Run("SSDNew", func(t *testing.T) {
 		// The FTL grows with the pages written, so a DefaultConfig device
 		// (128 chips, 56 GiB of 16 KiB logical pages) is a few objects per
-		// chip, not its page-mapped capacity.
+		// chip, not its page-mapped capacity: a chip's record, its block
+		// records and its free list, and one mapping directory per device.
 		cfg := ssd.DefaultConfig()
 		eng := NewEngine()
 		var before, after runtime.MemStats
@@ -238,8 +311,8 @@ func TestAllocBudgets(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		runtime.KeepAlive(dev)
 		bytes, objs := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
-		if perChip := 4*cfg.TotalChips() + 32; bytes >= 1<<20 || objs > uint64(perChip) {
-			t.Fatalf("ssd.New allocates %d bytes in %d objects; budget is under 1 MiB and %d objects (4 per chip + 32)",
+		if perChip := 3*cfg.TotalChips() + 32; bytes >= 1<<20 || objs > uint64(perChip) {
+			t.Fatalf("ssd.New allocates %d bytes in %d objects; budget is under 1 MiB and %d objects (3 per chip + 32)",
 				bytes, objs, perChip)
 		}
 	})
@@ -429,6 +502,10 @@ func TestAllocBudgets(t *testing.T) {
 		})
 	}
 }
+
+// allocSinkTable keeps CacheWarmSized's reference table on the heap, as a
+// cache's own table is.
+var allocSinkTable map[int64]*struct{}
 
 // newBusyLoop returns one rejected 4 KB read from target, with its EBUSY
 // delivered. The step panics if the read is not rejected, so a budget

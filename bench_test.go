@@ -18,6 +18,7 @@ import (
 	"mittos/internal/experiments"
 	"mittos/internal/kv"
 	"mittos/internal/sim"
+	"mittos/internal/ssd"
 	"mittos/internal/stats"
 )
 
@@ -426,6 +427,32 @@ func BenchmarkDeadlineSubmitDispatch(b *testing.B) {
 // through chip and channel, completion, and recycling.
 func BenchmarkSSDSubmitDispatch(b *testing.B) {
 	benchLoop(b, newSubmitLoop(StackConfig{Device: DeviceSSD}))
+}
+
+// BenchmarkSSDStripedWrite measures a 256 KiB write, 16 pages striped over
+// 16 chips, at a random 16-page boundary of a DefaultConfig device: the
+// page ops through channel and die, and the FTL mapping each page. A fresh
+// device replaces the last every 4,096 writes, so growing the mapping
+// leaves and block rmaps, as the bursty writers on fig3's fresh devices
+// grow them, is part of every op's cost.
+func BenchmarkSSDStripedWrite(b *testing.B) {
+	cfg := ssd.DefaultConfig()
+	stripe := 16 * cfg.PageSize
+	stripes := cfg.LogicalBytes() / int64(stripe)
+	eng := NewEngine()
+	rng := sim.NewRNG(9, "bench-ssd-stripe")
+	req := &Request{Op: OpWrite, Size: stripe, OnComplete: func(*Request) {}}
+	var dev *ssd.SSD
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%4096 == 0 {
+			dev = ssd.New(eng, cfg)
+		}
+		req.Offset = rng.Int63n(stripes) * int64(stripe)
+		dev.Submit(req)
+		eng.Run()
+	}
 }
 
 // newDestageLoop builds a disk whose NVRAM buffer is filled to within two

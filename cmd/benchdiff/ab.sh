@@ -27,8 +27,8 @@ out=$(cd "$2" && pwd)
 # GOMAXPROCS=1: experiment legs then run serially, which makes their
 # allocation counts repeat run to run.
 hot=(AdmissionDecision PredictWaitCFQ CFQSubmitDispatch DeadlineSubmitDispatch
-	SSDSubmitDispatch PutAdmission ReplicaCalls DiskDestage SeekCost EngineThroughput
-	EngineCancelHeavy EngineMixedHorizon ZipfNext)
+	SSDSubmitDispatch SSDStripedWrite PutAdmission ReplicaCalls DiskDestage SeekCost
+	EngineThroughput EngineCancelHeavy EngineMixedHorizon ZipfNext)
 experiments=(Fig4 YCSBMix LoadSweep)
 rounds=7
 

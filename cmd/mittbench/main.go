@@ -56,7 +56,7 @@ func main() {
 		ratesFlag = flag.String("rates", "", "comma-separated offered-load multipliers (× measured saturation, each in [0.01, 3]) for -run loadsweep, e.g. '0.5,0.9,1.1' (default: the built-in 0.2→1.5 sweep)")
 		sweepJSON = flag.String("sweep-json", "", "write the loadsweep experiment's per-cell results (throughput, percentiles, attainment, diagnostics) as a JSON array to this file")
 
-		metricsOn   = flag.Bool("metrics", false, "collect per-layer counters/histograms and print an end-of-run dump per leg (fig4, fig7)")
+		metricsOn   = flag.Bool("metrics", false, "collect per-layer counters/histograms and print an end-of-run dump per leg (fig4, fig7, ycsbmix, loadsweep)")
 		traceIOs    = flag.Int("trace-ios", 0, "with -metrics: capture the first N per-IO spans per leg and print them as JSONL (<0 = all)")
 		metricsJSON = flag.String("metrics-json", "", "with -metrics: also write every snapshot as a JSON array to this file")
 

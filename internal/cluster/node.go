@@ -121,7 +121,8 @@ type Pools struct {
 	// created them, so the bundle must outlive every fleet using it.)
 	Reqs blockio.Pool
 	// Pages is the shared page-cache slab; cached nodes draw their
-	// resident-set page structs from it.
+	// resident-set page structs from it, and the page tables their caches'
+	// Reclaim parked there.
 	Pages oscache.PageSlab
 }
 

@@ -12,10 +12,11 @@ import (
 // legArena is a worker-local, reusable simulation context. Every leg builds
 // its fleets through the arena (newFleet): the engine (with its event
 // freelist), the cluster-level serve/call context freelists, the shared
-// block-request pool, the page-cache slab, recycled SSD devices, and the
-// latency-sample buffer pool all survive from one leg to the next. Between
-// legs the runner calls reset, which reclaims everything the finished leg
-// left behind and rewinds the engine to time zero.
+// block-request pool, the page-cache slab (with the emptied page tables of
+// the last leg's caches), recycled SSD devices, and the latency-sample
+// buffer pool all survive from one leg to the next. Between legs the runner
+// calls reset, which reclaims everything the finished leg left behind and
+// rewinds the engine to time zero.
 //
 // Arena reuse is invisible to the simulation: every pooled object is fully
 // reinitialized at acquire, the engine's (time, seq) order restarts from the
@@ -102,7 +103,11 @@ func acquireArena() *legArena {
 	return newLegArena()
 }
 
+// releaseArena parks a for the next runLegs call, without the page tables
+// its legs' caches parked: kept, they would hold one experiment's page
+// tables live through every later experiment.
 func releaseArena(a *legArena) {
+	a.pools.Pages.DropTables()
 	arenaMu.Lock()
 	defer arenaMu.Unlock()
 	arenaFree = append(arenaFree, a)

@@ -35,9 +35,9 @@ type Options struct {
 	// reference schedule. Output is byte-identical for any value: legs are
 	// hermetic and results are assembled in declaration order.
 	Workers int
-	// Metrics enables the per-layer metrics registry (and, for fig4/fig7,
-	// per-leg snapshots attached to the Result). Off by default: the
-	// simulation carries only a nil recorder pointer.
+	// Metrics enables the per-layer metrics registry (and, for fig4, fig7,
+	// ycsbmix and loadsweep, per-leg snapshots attached to the Result). Off
+	// by default: the simulation carries only a nil recorder pointer.
 	Metrics bool
 	// TraceIOs bounds per-IO span capture per fleet when Metrics is on:
 	// 0 captures counters/histograms only, N > 0 the first N spans, and a
@@ -93,9 +93,9 @@ type Result struct {
 	Tables []*stats.Table
 	Notes  []string
 	// Metrics holds per-leg observability snapshots when the experiment ran
-	// with Options.Metrics set (fig4 and fig7 attach them), in leg
-	// declaration order. They are NOT part of String(): golden outputs stay
-	// identical with metrics on or off.
+	// with Options.Metrics set (fig4, fig7, ycsbmix and loadsweep attach
+	// them), in leg declaration order. They are NOT part of String():
+	// golden outputs stay identical with metrics on or off.
 	Metrics []*metrics.Snapshot
 	// Sweep holds the loadsweep experiment's per-cell results (empty for
 	// every other experiment) — the machine-readable twin of its tables,

@@ -160,15 +160,17 @@ var fig9Layers = []fig9Layer{
 }
 
 // fig9Replay replays a trace against one machine: a disk, or flash with the
-// trace re-rated for it. Pass 1 (no SLO) measures the p95 wait for the
-// deadline; pass 2 replays in shadow mode, on pass 1's SSD when the machine
-// has one: the pool resets it to factory state with the FTL it grew.
+// trace re-rated for it, either way clamped to the device once for both
+// passes. Pass 1 (no SLO) measures the p95 wait for the deadline; pass 2
+// replays in shadow mode, on pass 1's SSD when the machine has one: the
+// pool resets it to factory state with the FTL it grew.
 func fig9Replay(opt Fig9Options, tr *trace.Trace, l fig9Layer) (time.Duration, core.Accuracy) {
 	floor := time.Millisecond
 	if l.device == cluster.DeviceSSD {
-		tr, floor = tr.Rerate(opt.SSDRerate), 200*time.Microsecond
+		tr, floor = tr.Rerate(opt.SSDRerate).Clamp(ssd.DefaultConfig().LogicalBytes()), 200*time.Microsecond
 	} else {
-		tr = derateForDisk(tr, disk.DefaultConfig())
+		dcfg := disk.DefaultConfig()
+		tr = derateForDisk(tr, dcfg).Clamp(dcfg.CapacityBytes)
 	}
 	var ssds ssd.Pool
 	waits, _ := fig9Pass(opt, tr, 0, l, &ssds)
@@ -180,9 +182,10 @@ func fig9Replay(opt Fig9Options, tr *trace.Trace, l fig9Layer) (time.Duration, c
 	return deadline, acc
 }
 
-// fig9Pass replays tr once with every read at deadline (0 = no SLO) and
-// returns the measured waits and the layer's shadow-mode accuracy. An SSD
-// comes from ssds and goes back to it once the replay is done.
+// fig9Pass replays tr, already clamped to the layer's device, once with
+// every read at deadline (0 = no SLO) and returns the measured waits and
+// the layer's shadow-mode accuracy. An SSD comes from ssds and goes back to
+// it once the replay is done.
 func fig9Pass(opt Fig9Options, tr *trace.Trace, deadline time.Duration, l fig9Layer,
 	ssds *ssd.Pool) (*stats.Sample, core.Accuracy) {
 	eng := sim.NewEngine()
@@ -194,17 +197,16 @@ func fig9Pass(opt Fig9Options, tr *trace.Trace, deadline time.Duration, l fig9La
 	if l.naive {
 		cfg.MittOptions.Naive, cfg.MittOptions.Calibrate = true, false
 	}
-	capacity := cfg.SSDConfig.LogicalBytes()
 	var rng *sim.RNG
 	if l.device != cluster.DeviceSSD {
-		capacity, rng = cfg.DiskConfig.CapacityBytes, sim.NewRNG(opt.Seed, "fig9-disk")
+		rng = sim.NewRNG(opt.Seed, "fig9-disk")
 	}
 	pools := &cluster.Pools{}
 	st := cluster.NewStack(eng, cfg, l.sched, rng, nil, pools)
 	waits := stats.NewSample(len(tr.Records))
 	var ids blockio.IDGen
 	var ops sim.Freelist[fig9Op]
-	rep := trace.NewReplayer(eng, tr.Clamp(capacity), func(rec trace.Record) {
+	rep := trace.NewReplayer(eng, tr, func(rec trace.Record) {
 		req := pools.Reqs.Get()
 		req.ID, req.Op, req.Offset = ids.Next(), rec.Op, rec.Offset
 		req.Size, req.Proc = rec.Size, 1

@@ -16,8 +16,8 @@ type RunConfig struct {
 	// Workers bounds the leg worker pool (0 = one per CPU, 1 = serial);
 	// output is byte-identical for any value.
 	Workers int
-	// Metrics enables the observability registry; fig4/fig7 attach per-leg
-	// snapshots to the Result.
+	// Metrics enables the observability registry; fig4, fig7, ycsbmix and
+	// loadsweep attach per-leg snapshots to the Result.
 	Metrics bool
 	// TraceIOs bounds per-IO span capture (0 = off, <0 = unlimited).
 	TraceIOs int

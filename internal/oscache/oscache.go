@@ -27,8 +27,8 @@ type Config struct {
 	AddrCheckLatency time.Duration
 	// Slab, when non-nil, is a shared page freelist: an experiment arena
 	// passes one slab across legs (reclaiming each finished cache's pages
-	// with Reclaim) so the next leg's page table reuses the same page
-	// structs. Nil gets a private slab.
+	// and page table with Reclaim) so the next leg's caches reuse the same
+	// page structs and tables. Nil gets a private slab.
 	Slab *PageSlab
 	// Reqs, when non-nil, is the request pool background sub-IOs draw from,
 	// shared for the same reason. Nil gets a private pool.
@@ -76,7 +76,9 @@ type Cache struct {
 	// MittCache tells first-time accesses (cold misses) from re-evicted
 	// pages and signals EBUSY only for the latter ("should return EBUSY to
 	// signal memory space contention ... but not for first-time accesses",
-	// §4.4). Eviction and re-insertion therefore write no map entry.
+	// §4.4). Eviction and re-insertion therefore write no map entry. nil
+	// until the first insert (see table), so a cache that is never filled
+	// holds no table.
 	pages map[int64]*page
 	// lru holds the resident pages: head = most recently used, tail =
 	// eviction victim. ghosts holds the evicted ones, in no meaningful order.
@@ -128,16 +130,16 @@ func New(eng *sim.Engine, cfg Config, backing blockio.Device) *Cache {
 		backing:  backing,
 		slab:     slab,
 		reqs:     reqs,
-		pages:    make(map[int64]*page),
 		capacity: cfg.CapacityPages,
 		degrade:  1.0,
 	}
 }
 
 // Reclaim hands every page, resident or evicted, back to the (shared) slab
-// and empties the page table. Call only at experiment-leg teardown: the
-// cache is unusable afterwards, it exists so an arena can recycle the page
-// structs of a finished leg's page table into the next leg's cache.
+// and parks the emptied page table there for the next cache on the slab.
+// Call only at experiment-leg teardown: the cache is unusable afterwards,
+// it exists so an arena can recycle a finished leg's page structs and
+// table into the next leg's cache.
 func (c *Cache) Reclaim() {
 	for _, l := range [...]*pageList{&c.lru, &c.ghosts} {
 		for pg := l.head; pg != nil; {
@@ -147,7 +149,11 @@ func (c *Cache) Reclaim() {
 		}
 		*l = pageList{}
 	}
-	c.pages = nil
+	if c.pages != nil {
+		clear(c.pages) // keeps the table's storage
+		c.slab.tables = append(c.slab.tables, c.pages)
+		c.pages = nil
+	}
 }
 
 // SetDegradation scales the hit-serving latency by factor (>1 slower);
@@ -385,9 +391,20 @@ const pageSlabSize = 1024
 // PageSlab is a page freelist with slab-batched growth. The zero value is
 // ready to use; a shared slab (Config.Slab) lets consecutive experiment legs
 // reuse one peak page table's worth of page structs instead of growing a
-// fresh freelist per cache.
+// fresh freelist per cache. It also holds the empty page tables Reclaim
+// parks, which the next caches on the slab take instead of growing their
+// own.
 type PageSlab struct {
-	free *page
+	free   *page
+	tables []map[int64]*page
+}
+
+// DropTables releases the parked page tables, keeping the page structs. An
+// arena calls it when its experiment ends: a table sized for one
+// experiment's legs should not stay live through the next experiment.
+func (s *PageSlab) DropTables() {
+	clear(s.tables)
+	s.tables = s.tables[:0]
 }
 
 func (s *PageSlab) get() *page {
@@ -445,6 +462,22 @@ func (c *Cache) moveToFront(pg *page) {
 	c.lru.pushFront(pg)
 }
 
+// table returns the page table, making it on first use: the most recently
+// parked table on the slab if there is one, else a new one with room for n
+// pages, capped at the resident-set limit.
+func (c *Cache) table(n int64) map[int64]*page {
+	if c.pages == nil {
+		if k := len(c.slab.tables); k > 0 {
+			c.pages = c.slab.tables[k-1]
+			c.slab.tables[k-1] = nil
+			c.slab.tables = c.slab.tables[:k-1]
+		} else {
+			c.pages = make(map[int64]*page, min(n, int64(c.capacity)))
+		}
+	}
+	return c.pages
+}
+
 // insert makes a page resident (touching it if already resident), evicting
 // the LRU page when at capacity. Only a page never resident before adds a
 // page-table entry; an evicted one comes back from the ghost list.
@@ -461,7 +494,7 @@ func (c *Cache) insert(id int64, dirty bool) {
 	if pg == nil {
 		pg = c.slab.get()
 		pg.id = id
-		c.pages[id] = pg
+		c.table(0)[id] = pg
 	} else {
 		c.ghosts.remove(pg)
 	}
@@ -552,9 +585,15 @@ func (c *Cache) Balloon(nPages int) {
 }
 
 // Warm loads [off, off+size) into the cache instantly (experiment setup:
-// "we pre-read 3.5GB file", §6) without consuming virtual time.
+// "we pre-read 3.5GB file", §6) without consuming virtual time. A cache
+// with no page table yet gets one sized for the range, so a large warm-up
+// fills its table without regrowing it.
 func (c *Cache) Warm(off int64, size int) {
 	first, last := c.span(off, size)
+	if first > last {
+		return
+	}
+	c.table(last - first + 1)
 	for p := first; p <= last; p++ {
 		c.insert(p, false)
 	}

@@ -228,14 +228,16 @@ func (m *refCache) done(t *testing.T, io devIO) {
 // It also checks the page table's own shape: every entry sits on the list its
 // resident flag names, and the two lists together hold the whole table.
 // After a final drain every client request has completed exactly once, with
-// an error exactly when its read-through failed, and Reclaim hands every page
-// of both lists back to the slab.
+// an error exactly when its read-through failed, Reclaim hands every page
+// of both lists back to the slab, and the next cache on the slab finds the
+// page table Reclaim parked there empty.
 func FuzzCachePageTable(f *testing.F) {
 	f.Add([]byte{3, 2, 0, 0, 2, 1, 0, 0, 3, 4, 0, 2, 0, 0, 7, 9, 0, 0, 0, 0})
 	f.Add([]byte{8 | 2, 1, 1, 2, 1, 3, 0, 2, 5, 0, 5, 12, 0, 0, 5, 4, 0, 0, 1, 0})
 	f.Add([]byte{4, 6, 2, 2, 8, 0, 0, 0, 5, 0, 7, 15, 0, 8, 0, 0, 0, 5, 1, 7, 15, 0})
 	f.Add([]byte{1, 2, 0, 9, 5, 30, 0, 5, 0, 0, 2, 0, 2, 4, 4, 0, 1, 7, 0, 2})
 	f.Add([]byte{8 | 7, 1, 3, 5, 1, 4, 5, 1, 5, 5, 4, 2, 0, 4, 4, 0, 7, 12, 0, 0, 1, 0})
+	f.Add([]byte{8}) // no steps: the cache never makes a table
 
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) == 0 {
@@ -256,6 +258,7 @@ func FuzzCachePageTable(f *testing.F) {
 		dev := &scriptDevice{eng: eng}
 		cfg := DefaultConfig()
 		cfg.CapacityPages = 1 + int(head%8)
+		cfg.Slab = &PageSlab{}
 		c := New(eng, cfg, dev)
 		ps := int64(cfg.PageSize)
 		m := &refCache{ps: ps, capacity: cfg.CapacityPages,
@@ -396,6 +399,20 @@ func FuzzCachePageTable(f *testing.F) {
 		c.Reclaim()
 		if got := free() - before; got != table {
 			t.Fatalf("Reclaim returned %d pages to the slab; the page table held %d", got, table)
+		}
+
+		// The next cache on the slab takes the parked table at its first
+		// insert, of a page no program names, and must find it empty.
+		next := New(eng, cfg, dev)
+		next.Warm(1<<40*ps, 1)
+		for _, p := range named {
+			if next.WasEverResident(p*ps, 1) {
+				t.Fatalf("page %d of the reclaimed cache is in the next cache's page table", p)
+			}
+		}
+		if len(next.pages) != 1 || len(cfg.Slab.tables) != 0 {
+			t.Fatalf("next cache's table holds %d pages after one warm, %d tables still parked",
+				len(next.pages), len(cfg.Slab.tables))
 		}
 	})
 }

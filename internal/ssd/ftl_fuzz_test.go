@@ -11,9 +11,9 @@ import (
 
 // fuzzConfig is FuzzFTL's geometry: two chips on two channels, small
 // blocks and one overprovisioned block, so a few hundred page writes per
-// chip reach GC, and wear leveling follows every second erase. Each chip
-// has 528 logical pages, so its mapping spans a full leaf and part of a
-// second one.
+// chip reach GC, and wear leveling follows every second erase. The device
+// has 1,056 logical pages, so its mapping spans two full leaves and part of
+// a third.
 func fuzzConfig() Config {
 	cfg := DefaultConfig()
 	cfg.Channels, cfg.ChipsPerChannel = 2, 1
@@ -27,7 +27,7 @@ func fuzzConfig() Config {
 // fuzzPage maps an argument byte to a logical page. Most bytes pick one of
 // 48 hot pages at the front of the device, whose overwrites drive GC; the
 // rest pick one of 64 pages spread over the top of the logical space, on
-// both chips and both mapping leaves.
+// both chips and the last two mapping leaves.
 func fuzzPage(arg byte, logical int64) int64 {
 	if arg < 192 {
 		return int64(arg % 48)
@@ -161,7 +161,7 @@ func compareFTL(t *testing.T, step int, s *SSD, o *flatSSD) {
 			t.Fatalf("step %d chip %d: queue %d, oracle %d", step, i, c.srv.occupancy(), oc.srv.occupancy())
 		}
 		for cl, want := range oc.mapping {
-			if got := c.lookup(cl); got != want {
+			if got := s.lookup(c, cl); got != want {
 				t.Fatalf("step %d chip %d: logical page %d maps to %d, oracle %d", step, i, cl, got-1, want-1)
 			}
 		}

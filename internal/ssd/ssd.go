@@ -134,6 +134,16 @@ type SSD struct {
 	channels []*channel
 	pattern  []time.Duration
 
+	// mapping is the FTL's logical-to-physical map: one directory for the
+	// whole device, indexed by device logical page lp = cl*TotalChips +
+	// chip, so leaf i maps lp [i*leafPages, (i+1)*leafPages) of every chip.
+	// Striping puts consecutive logical pages on consecutive chips, so a
+	// 16-page write fills one leaf, not one leaf on each of 16 chips. An
+	// entry is the chip-local physical page (block*ppb+idx) + 1, 0 unmapped.
+	// A leaf is allocated on the first write into its range, and a nil leaf
+	// reads as all unmapped, the factory state.
+	mapping []*mapLeaf
+
 	inflight int
 	reads    uint64
 	writes   uint64
@@ -157,9 +167,8 @@ type SSD struct {
 	errRate float64
 	errRNG  *sim.RNG
 
-	gcHook     func(GCEvent)
-	submitHook func(*blockio.Request)
-	rec        *metrics.Recorder
+	gcHook func(GCEvent)
+	rec    *metrics.Recorder
 }
 
 // SetRecorder attaches a metrics recorder (nil disables, the default).
@@ -226,11 +235,10 @@ type chip struct {
 	srv server
 
 	// FTL state. It grows with the pages written, not with the chip's
-	// capacity: a mapping leaf is allocated on the first write into its
-	// range and a block's rmap when the block is first programmed. A nil
-	// leaf or rmap reads as all zero, which is the factory state, so reset
-	// clears what a device has grown and allocates nothing.
-	mapping     []*mapLeaf // leaf i maps chip-local logical pages [i*leafPages, (i+1)*leafPages)
+	// capacity: a block's rmap is allocated when the block is first
+	// programmed (the logical-to-physical map is the device's). A nil rmap
+	// reads as all zero, which is the factory state, so reset clears what a
+	// device has grown and allocates nothing.
 	blocks      []block
 	freeBlocks  []int // FIFO, popped by shifting so its one array, sized for every block, is kept
 	activeBlock int
@@ -238,16 +246,17 @@ type chip struct {
 }
 
 // leafShift sets the mapping leaf size: leafPages logical pages, 2 KiB of
-// entries. On the benchmark's node-ssd and paper-suite workloads 128-entry
-// leaves allocated 4% less and 2048-entry leaves 3–8% more; 512 keeps a
-// DefaultConfig device's leaf directories at 57 KB.
+// entries. On the benchmark's paper-suite and node-ssd workloads 128-entry
+// leaves allocated 7% and 8% less, but their 229 KB directory per device
+// raised node-ssd's live heap by 12%; 2048-entry leaves allocated 5% and
+// 12% more. 512 keeps a DefaultConfig device's directory at 57 KB.
 const (
 	leafShift = 9
 	leafPages = 1 << leafShift
 )
 
-// mapLeaf maps chip-local logical pages to physical page (block*ppb+idx) + 1,
-// 0 unmapped.
+// mapLeaf maps device logical pages to chip-local physical page
+// (block*ppb+idx) + 1, 0 unmapped.
 type mapLeaf [leafPages]int32
 
 // block is one erase block's FTL record.
@@ -276,16 +285,16 @@ func New(eng *sim.Engine, cfg Config) *SSD {
 	if cfg.OverprovisionBlocks >= cfg.BlocksPerChip {
 		panic("ssd: overprovisioning exceeds capacity")
 	}
+	logicalPages := cfg.TotalChips() * (cfg.BlocksPerChip - cfg.OverprovisionBlocks) * cfg.PagesPerBlock
 	s := &SSD{eng: eng, cfg: cfg, pattern: cfg.ProgramPattern(), degrade: 1.0,
-		chips: make([]*chip, cfg.TotalChips()), channels: make([]*channel, cfg.Channels)}
+		chips: make([]*chip, cfg.TotalChips()), channels: make([]*channel, cfg.Channels),
+		mapping: make([]*mapLeaf, (logicalPages+leafPages-1)/leafPages)}
 	for i := range s.channels {
 		s.channels[i] = &channel{id: i}
 	}
-	userPages := (cfg.BlocksPerChip - cfg.OverprovisionBlocks) * cfg.PagesPerBlock
 	for i := range s.chips {
 		c := &chip{
 			id:         i,
-			mapping:    make([]*mapLeaf, (userPages+leafPages-1)/leafPages),
 			blocks:     make([]block, cfg.BlocksPerChip),
 			freeBlocks: make([]int, 0, cfg.BlocksPerChip),
 		}
@@ -317,12 +326,12 @@ func (s *SSD) Config() Config { return s.cfg }
 // halted or reset.
 func (s *SSD) reset(eng *sim.Engine) {
 	s.eng = eng
-	for _, c := range s.chips {
-		for _, leaf := range c.mapping {
-			if leaf != nil {
-				clear(leaf[:])
-			}
+	for _, leaf := range s.mapping {
+		if leaf != nil {
+			clear(leaf[:])
 		}
+	}
+	for _, c := range s.chips {
 		for i := range c.blocks {
 			clear(c.blocks[i].rmap)
 			c.blocks[i] = block{rmap: c.blocks[i].rmap}
@@ -338,7 +347,7 @@ func (s *SSD) reset(eng *sim.Engine) {
 	s.reads, s.writes, s.erases, s.wlMoves = 0, 0, 0, 0
 	s.degrade = 1.0
 	s.errRate, s.errRNG = 0, nil
-	s.gcHook, s.submitHook, s.rec = nil, nil, nil
+	s.gcHook, s.rec = nil, nil
 }
 
 // reset empties a server queue, dropping any orphaned task references.
@@ -415,10 +424,6 @@ func (s *SSD) scaled(d time.Duration) time.Duration {
 // SetGCHook registers the host-visible GC notification.
 func (s *SSD) SetGCHook(fn func(GCEvent)) { s.gcHook = fn }
 
-// SetSubmitHook registers a tap on every submitted request (used by the
-// MittSSD predictor to track outstanding per-channel IOs).
-func (s *SSD) SetSubmitHook(fn func(*blockio.Request)) { s.submitHook = fn }
-
 // InFlight implements blockio.Device.
 func (s *SSD) InFlight() int { return s.inflight }
 
@@ -466,9 +471,6 @@ func (s *SSD) Submit(req *blockio.Request) {
 	req.DispatchTime = s.eng.Now()
 	s.inflight++
 	s.rec.DevEnter(metrics.RSSD, req)
-	if s.submitHook != nil {
-		s.submitHook(req)
-	}
 	first, count := s.PageSpan(req.Offset, req.Size)
 	grp := s.groups.Get(nil)
 	grp.s, grp.req, grp.remaining = s, req, int(count)
@@ -661,12 +663,13 @@ func (s *SSD) occupyChip(c *chip, busy time.Duration) {
 // returns a fresh physical page on the active block.
 func (s *SSD) allocPage(c *chip, cl int32) int {
 	ppb := s.cfg.PagesPerBlock
-	leaf := c.mapping[cl>>leafShift]
+	lp := int(cl)*len(s.chips) + c.id
+	leaf := s.mapping[lp>>leafShift]
 	if leaf == nil {
 		leaf = new(mapLeaf)
-		c.mapping[cl>>leafShift] = leaf
+		s.mapping[lp>>leafShift] = leaf
 	}
-	entry := &leaf[cl&(leafPages-1)]
+	entry := &leaf[lp&(leafPages-1)]
 	if old := int(*entry) - 1; old >= 0 {
 		b := &c.blocks[old/ppb]
 		b.rmap[old%ppb] = 0 // invalid

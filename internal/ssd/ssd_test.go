@@ -294,19 +294,6 @@ func TestInFlightAccounting(t *testing.T) {
 	}
 }
 
-func TestSubmitHookFires(t *testing.T) {
-	eng, s := newTestSSD(smallConfig())
-	hooked := 0
-	s.SetSubmitHook(func(*blockio.Request) { hooked++ })
-	r := &blockio.Request{Op: blockio.Read, Offset: 0, Size: 4096}
-	r.OnComplete = func(*blockio.Request) {}
-	s.Submit(r)
-	eng.Run()
-	if hooked != 1 {
-		t.Fatalf("submit hook fired %d times", hooked)
-	}
-}
-
 func TestOutOfRangePanics(t *testing.T) {
 	_, s := newTestSSD(smallConfig())
 	defer func() {
@@ -360,7 +347,7 @@ func TestPropertyFTLMappingBijective(t *testing.T) {
 		ppb := cfg.PagesPerBlock
 		seen := map[int32]bool{}
 		for cl := 0; cl < userPages; cl++ {
-			enc := c.lookup(cl)
+			enc := s.lookup(c, cl)
 			if enc == 0 {
 				continue // unmapped
 			}
@@ -464,11 +451,12 @@ func TestWearLevelingDisabled(t *testing.T) {
 	}
 }
 
-// lookup returns chip-local logical page cl's mapping entry: physical page
-// + 1, or 0 unmapped. A nil leaf reads as all-unmapped.
-func (c *chip) lookup(cl int) int32 {
-	if leaf := c.mapping[cl>>leafShift]; leaf != nil {
-		return leaf[cl&(leafPages-1)]
+// lookup returns chip c's logical page cl's mapping entry: chip-local
+// physical page + 1, or 0 unmapped. A nil leaf reads as all-unmapped.
+func (s *SSD) lookup(c *chip, cl int) int32 {
+	lp := cl*len(s.chips) + c.id
+	if leaf := s.mapping[lp>>leafShift]; leaf != nil {
+		return leaf[lp&(leafPages-1)]
 	}
 	return 0
 }
@@ -495,7 +483,7 @@ func ftlState(s *SSD) string {
 	for _, c := range s.chips {
 		mapping := make([]int32, userPages)
 		for cl := range mapping {
-			mapping[cl] = c.lookup(cl)
+			mapping[cl] = s.lookup(c, cl)
 		}
 		rmap := make([]int32, len(c.blocks)*ppb)
 		for phys := range rmap {

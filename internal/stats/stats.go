@@ -7,6 +7,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -208,9 +209,12 @@ func (s *Sample) Min() time.Duration {
 	return time.Duration(s.sum.Min())
 }
 
+// sort orders the observations. slices.Sort is not stable, but equal
+// durations cannot be told apart, so every query answers as it would on a
+// stable sort.
 func (s *Sample) sort() {
 	if !s.sorted {
-		sort.Slice(s.vals, func(i, j int) bool { return s.vals[i] < s.vals[j] })
+		slices.Sort(s.vals)
 		s.sorted = true
 	}
 }

@@ -81,11 +81,11 @@ func (t *Trace) Busiest(window time.Duration) *Trace {
 			best, bestCount = i, j-i
 		}
 	}
-	out := &Trace{Name: t.Name + "-busiest"}
+	out := &Trace{Name: t.Name + "-busiest", Records: make([]Record, bestCount)}
 	base := t.Records[best].At
-	for _, r := range t.Records[best : best+bestCount] {
+	for i, r := range t.Records[best : best+bestCount] {
 		r.At -= base
-		out.Records = append(out.Records, r)
+		out.Records[i] = r
 	}
 	return out
 }
@@ -96,18 +96,18 @@ func (t *Trace) Rerate(factor float64) *Trace {
 	if factor <= 0 {
 		panic("trace: Rerate factor must be positive")
 	}
-	out := &Trace{Name: fmt.Sprintf("%s-x%g", t.Name, factor)}
-	for _, r := range t.Records {
+	out := &Trace{Name: fmt.Sprintf("%s-x%g", t.Name, factor), Records: make([]Record, len(t.Records))}
+	for i, r := range t.Records {
 		r.At = time.Duration(float64(r.At) / factor)
-		out.Records = append(out.Records, r)
+		out.Records[i] = r
 	}
 	return out
 }
 
 // Clamp rewrites offsets/sizes to fit a device of the given capacity.
 func (t *Trace) Clamp(capacity int64) *Trace {
-	out := &Trace{Name: t.Name}
-	for _, r := range t.Records {
+	out := &Trace{Name: t.Name, Records: make([]Record, len(t.Records))}
+	for i, r := range t.Records {
 		if int64(r.Size) > capacity {
 			r.Size = int(capacity / 2)
 		}
@@ -120,7 +120,7 @@ func (t *Trace) Clamp(capacity int64) *Trace {
 			r.Offset += span
 		}
 		r.Offset &^= 4095
-		out.Records = append(out.Records, r)
+		out.Records[i] = r
 	}
 	return out
 }
@@ -304,24 +304,40 @@ type Replayer struct {
 	// Submit is invoked for each record at its timestamp.
 	Submit func(rec Record)
 	issued int
+	fireFn func() // pre-bound r.fire
 }
 
 // NewReplayer builds a replayer.
 func NewReplayer(eng *sim.Engine, tr *Trace, submit func(Record)) *Replayer {
-	return &Replayer{eng: eng, trace: tr, Submit: submit}
+	r := &Replayer{eng: eng, trace: tr, Submit: submit}
+	r.fireFn = r.fire
+	return r
 }
 
-// Start schedules every record. For multi-hundred-thousand-record traces
-// this preloads the event queue; the engine handles it fine and the
-// alternative (self-scheduling) would be no cheaper.
+// Start schedules every record, once: one event per record at its
+// timestamp, all posting the same pre-bound callback, which submits the
+// next record not yet issued. The engine fires events in time order and
+// same-time events in post order, so the k-th event to fire submits record
+// k exactly when the records are sorted by At, as Generate and every
+// transform leave them. Start panics on a trace that is not.
 func (r *Replayer) Start() {
-	for _, rec := range r.trace.Records {
-		rec := rec
-		r.eng.After(rec.At, func() {
-			r.issued++
-			r.Submit(rec)
-		})
+	recs := r.trace.Records
+	for i := 1; i < len(recs); i++ {
+		if recs[i].At < recs[i-1].At {
+			panic(fmt.Sprintf("trace: %s: record %d at %v precedes record %d at %v",
+				r.trace.Name, i, recs[i].At, i-1, recs[i-1].At))
+		}
 	}
+	for i := range recs {
+		r.eng.After(recs[i].At, r.fireFn)
+	}
+}
+
+// fire submits the next record.
+func (r *Replayer) fire() {
+	rec := r.trace.Records[r.issued]
+	r.issued++
+	r.Submit(rec)
 }
 
 // Issued returns how many records have fired so far.

@@ -1,7 +1,9 @@
 package trace
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -148,6 +150,81 @@ func TestReplayerIssuesAllInOrder(t *testing.T) {
 			t.Fatalf("record %d differs", i)
 		}
 	}
+}
+
+// startClosures is how Replayer.Start used to schedule a trace: one closure
+// per record, each capturing its own record. The pre-bound replayer must
+// fire exactly as it did.
+func startClosures(eng *sim.Engine, tr *Trace, submit func(Record)) {
+	for _, rec := range tr.Records {
+		rec := rec
+		eng.After(rec.At, func() { submit(rec) })
+	}
+}
+
+// replayLog replays tr through start on a fresh engine beside unrelated
+// events posted at the same instants, some before start and some after,
+// plus a same-time event that every fifth submission posts, and logs every
+// firing with its virtual time.
+func replayLog(tr *Trace, start func(eng *sim.Engine, submit func(Record))) []string {
+	eng := sim.NewEngine()
+	var log []string
+	mark := func(tag string) func() {
+		return func() { log = append(log, fmt.Sprintf("%v %s", eng.Now(), tag)) }
+	}
+	for ms := 0; ms < 60; ms += 7 {
+		eng.After(time.Duration(ms)*time.Millisecond, mark("before"))
+	}
+	n := 0
+	start(eng, func(rec Record) {
+		log = append(log, fmt.Sprintf("%v %+v", eng.Now(), rec))
+		if n++; n%5 == 0 {
+			eng.After(0, mark("posted by a submit"))
+		}
+	})
+	for ms := 3; ms < 60; ms += 5 {
+		eng.After(time.Duration(ms)*time.Millisecond, mark("after"))
+	}
+	eng.Run()
+	return log
+}
+
+func TestReplayerMatchesClosurePerRecord(t *testing.T) {
+	// Runs of four records share each millisecond, so same-time order is
+	// what the comparison pins; the generated and re-rated traces add the
+	// order of real workloads.
+	ties := &Trace{Name: "ties"}
+	for i := 0; i < 200; i++ {
+		ties.Records = append(ties.Records, Record{At: time.Duration(i/4) * time.Millisecond,
+			Op: blockio.Read, Offset: int64(i) << 12, Size: 4096})
+	}
+	dapps := genFor(t, "DAPPS", 5*time.Second)
+	for _, tr := range []*Trace{ties, dapps, dapps.Rerate(128)} {
+		want := replayLog(tr, func(eng *sim.Engine, submit func(Record)) { startClosures(eng, tr, submit) })
+		got := replayLog(tr, func(eng *sim.Engine, submit func(Record)) { NewReplayer(eng, tr, submit).Start() })
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: the replayer fired %d events, the closure per record %d, in a different order",
+				tr.Name, len(got), len(want))
+		}
+	}
+}
+
+func TestReplayerRejectsOutOfOrderTrace(t *testing.T) {
+	tr := &Trace{Name: "unsorted", Records: []Record{
+		{At: time.Millisecond, Op: blockio.Read, Size: 4096},
+		{At: 3 * time.Millisecond, Op: blockio.Read, Size: 4096},
+		{At: 2 * time.Millisecond, Op: blockio.Read, Size: 4096},
+	}}
+	eng := sim.NewEngine()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Start accepted a trace whose records are out of order")
+		}
+		if eng.Pending() != 0 {
+			t.Fatalf("Start scheduled %d events before rejecting the trace", eng.Pending())
+		}
+	}()
+	NewReplayer(eng, tr, func(Record) {}).Start()
 }
 
 func TestGenerateDeterministic(t *testing.T) {
